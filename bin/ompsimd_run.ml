@@ -490,10 +490,10 @@ let serve_cmd =
                 "serve: --requests, --synthetic and --traffic are exclusive";
               exit 2
         in
-        (* The single-device scheduler stays the default path so its
-           replay snapshots are untouched; any fleet knob — a flag here
-           or OMPSIMD_SERVE_SHARDS in the environment — opts into the
-           fleet. *)
+        (* The classic single-device path (the one-shard fleet, in the
+           classic report and snapshot format) stays the default; any
+           fleet knob — a flag here or OMPSIMD_SERVE_SHARDS in the
+           environment — opts into the full fleet. *)
         (match slo_ms with
         | Some ms when ms <= 0.0 ->
             prerr_endline "serve: --slo must be a positive millisecond value";

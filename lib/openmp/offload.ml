@@ -36,7 +36,7 @@ let effective_passes knobs =
    bit-identical by contract, but a service replay pins the engine into
    the key so switching OMPSIMD_EVAL can never alias a cached artifact
    from the other engine). *)
-let cache_key ?(knobs = default_knobs) kernel =
+let cache_key_of_digest ~knobs digest =
   let engine =
     match Ompir.Compile.engine_of_env () with
     | Ompir.Compile.Staged -> "staged"
@@ -49,10 +49,11 @@ let cache_key ?(knobs = default_knobs) kernel =
     ignore (Ompir.Passes.pipeline_of_spec spec);
     match String.trim spec with "" -> "default" | s -> s
   in
-  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s"
-    (Ompir.Kdigest.hex kernel)
-    (Bool.to_int knobs.guardize) (Bool.to_int knobs.fold)
-    (Bool.to_int knobs.racecheck) passes engine
+  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s" digest (Bool.to_int knobs.guardize)
+    (Bool.to_int knobs.fold) (Bool.to_int knobs.racecheck) passes engine
+
+let cache_key ?(knobs = default_knobs) kernel =
+  cache_key_of_digest ~knobs (Ompir.Kdigest.hex kernel)
 
 let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
     ?(passes = "") kernel =

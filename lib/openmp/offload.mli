@@ -50,6 +50,10 @@ val cache_key : ?knobs:knobs -> Ompir.Ir.kernel -> string
     @raise Invalid_argument on a malformed pipeline spec; the message
     names [OMPSIMD_PASSES] and the offending item. *)
 
+val cache_key_of_digest : knobs:knobs -> string -> string
+(** [cache_key_of_digest ~knobs (Ompir.Kdigest.hex k)] is
+    [cache_key ~knobs k], for callers that already hold the digest. *)
+
 val compile_with :
   knobs:knobs ->
   Ompir.Ir.kernel ->

@@ -1,9 +1,10 @@
-(* The serve fleet: N virtual devices behind one admission plane.
+(* The serve engine: N virtual devices behind one admission plane.
 
-   Each shard is a full copy of the single-device scheduler's machinery
-   — its own bounded queue, its own executors, its own per-kernel
-   circuit breakers — driven by one global discrete-event heap in
-   virtual time.  Three mechanisms turn the copies into a fleet:
+   This is the only event loop in the service.  Each shard has its own
+   bounded queue, its own executors and its own per-kernel circuit
+   breakers, all driven by one global discrete-event heap in virtual
+   time; the classic {!Scheduler} is this loop with one shard and every
+   fleet feature off.  Three mechanisms turn the shards into a fleet:
 
    * {b Placement} is a consistent-hash ring over the request's
      engine-free content identity ({!Ompir.Kdigest} of the instantiated
@@ -65,7 +66,7 @@ module Env = Ompsimd_util.Env
 module Counters = Gpusim.Counters
 
 type config = {
-  base : Scheduler.config;
+  base : Service.config;
       (* per-shard queue bound / servers / retries / backoff / breaker,
          plus the device, the fleet-wide compile-cache capacity and the
          compile knobs *)
@@ -122,7 +123,7 @@ let parse_devices spec =
                invalid_arg (Printf.sprintf "OMPSIMD_FLEET_DEVICES: %s" msg))
 
 let config_of_env ~cfg () =
-  let base = Scheduler.config_of_env ~cfg () in
+  let base = Service.config_of_env ~cfg () in
   let shards = Env.int "OMPSIMD_SERVE_SHARDS" ~default:4 in
   {
     base;
@@ -144,8 +145,8 @@ let config_of_env ~cfg () =
     telemetry = Env.var "OMPSIMD_SERVE_TELEMETRY" <> None;
     shed = Env.flag "OMPSIMD_SERVE_SHED" ~default:true;
     autoscale =
-      Autoscale.config_of_env ~slo:base.Scheduler.slo ~shards
-        ~servers:base.Scheduler.servers ();
+      Autoscale.config_of_env ~slo:base.Service.slo ~shards
+        ~servers:base.Service.servers ();
     decay = Env.int "OMPSIMD_FLEET_DECAY" ~default:0;
   }
 
@@ -201,26 +202,29 @@ let place ring key =
 (* The engine-free content identity: placement, batching compatibility
    and the launch memo all key on it (the cache key proper adds the
    engine, which must never influence where a request lands). *)
-let content_key ~knobs (spec : Request.spec) =
-  let kernel = Request.kernel_of_spec spec in
-  let knobs = { knobs with Offload.guardize = spec.guardize } in
-  Printf.sprintf "%s|%c|%s"
-    (Ompir.Kdigest.hex kernel)
+let content_key_of_digest ~knobs (spec : Request.spec) digest =
+  Printf.sprintf "%s|%c|%s" digest
     (if spec.guardize then 'g' else '-')
     (Offload.effective_passes knobs)
+
+let content_key ~knobs (spec : Request.spec) =
+  content_key_of_digest ~knobs spec
+    (Ompir.Kdigest.hex (Request.kernel_of_spec spec))
 
 (* --- bookkeeping types -------------------------------------------------- *)
 
 type pending = {
   spec : Request.spec;
-  attempts : int;  (* admissions, as in the single-device scheduler *)
+  attempts : int;  (* admissions; 1 = admitted first try *)
   launches : int;  (* device launches performed *)
-  home : int;  (* the shard the ring placed it on *)
   ckey : string;  (* content identity (placement) *)
   bkey : string;  (* ckey + launch geometry (batching compatibility) *)
   mkey : string;  (* bkey + size + data seed (launch memo) *)
   stolen : bool;  (* executing (or last executed) on a foreign shard *)
   relaunched : bool;  (* recovery re-entry: exempt from bound and eviction *)
+  ir : Ompir.Ir.kernel option;
+      (* the IR its keys were built from, until its first launch: a
+         cold first dispatch compiles and launches it, never a rebuild *)
 }
 
 (* One member's exact sub-report, split out of the merged grid. *)
@@ -239,11 +243,19 @@ type batch_run = {
   b_members : member list;  (* dispatch order: leader first *)
   b_started : float;
   b_compile : float;
-  b_cache : Scheduler.cache_status;  (* the leader's; C_miss mates report C_join *)
+  b_cache : Service.cache_status;  (* the leader's; C_miss mates report C_join *)
   b_key : string;  (* cache key = breaker key *)
 }
 
-type event = Arrive of pending | Relaunch of int * pending | Finish of batch_run
+(* [Submit] is a request's first arrival, before its keys exist: they
+   are computed when it is processed, and an IR built for them rides in
+   the pending record only until that request's first dispatch — never
+   for the whole trace at once. *)
+type event =
+  | Submit of Request.spec
+  | Arrive of pending
+  | Relaunch of int * pending
+  | Finish of batch_run
 
 type breaker_state = Br_closed | Br_open of float | Br_probing
 
@@ -269,7 +281,7 @@ type shard_state = {
 type rq_report = {
   spec : Request.spec;
   shard : int;  (* where the terminal event happened *)
-  outcome : Scheduler.outcome;
+  outcome : Service.outcome;
   attempts : int;
   launches : int;
   batched : int;  (* members of its terminal merged grid; 0 = never ran *)
@@ -279,7 +291,7 @@ type rq_report = {
   latency : float;
   compile_ticks : float;
   exec_ticks : float;
-  cache : Scheduler.cache_status;
+  cache : Service.cache_status;
   checksum : float;
   counters : Counters.t;  (* its own split of the merged report; zeros if never ran *)
 }
@@ -308,7 +320,7 @@ type result = {
    merged launch runs members side by side (their block sets are
    disjoint, the device schedules them together), so the batch window
    is the slowest member plus this per-member merge overhead —
-   structural, host-independent, like {!Scheduler.compile_cost}. *)
+   structural, host-independent, like {!Service.compile_cost}. *)
 let merge_overhead = 64.0
 
 (* Fault identity of a member launch: a pure function of (request,
@@ -322,13 +334,13 @@ let run conf ?pool specs =
   if conf.shards < 1 then invalid_arg "Fleet.run: shards must be >= 1";
   if conf.batch < 1 then invalid_arg "Fleet.run: batch must be >= 1";
   let base = conf.base in
-  if base.Scheduler.servers < 1 then
+  if base.Service.servers < 1 then
     invalid_arg "Fleet.run: servers must be >= 1";
-  if base.Scheduler.queue_bound < 0 then
+  if base.Service.queue_bound < 0 then
     invalid_arg "Fleet.run: negative queue bound";
-  if base.Scheduler.breaker < 0 then
+  if base.Service.breaker < 0 then
     invalid_arg "Fleet.run: negative breaker threshold";
-  if base.Scheduler.window <= 0.0 then
+  if base.Service.window <= 0.0 then
     invalid_arg "Fleet.run: window must be > 0";
   if conf.decay < 0 then invalid_arg "Fleet.run: negative affinity decay";
   Gpusim.Fault.refresh_from_env ();
@@ -343,7 +355,7 @@ let run conf ?pool specs =
   let devs =
     let n = List.length conf.devices in
     Array.init conf.shards (fun sid ->
-        if n = 0 then base.Scheduler.cfg else List.nth conf.devices (sid mod n))
+        if n = 0 then base.Service.cfg else List.nth conf.devices (sid mod n))
   in
   let devnames =
     (* distinct device names, sorted: the affinity cost table and the
@@ -436,18 +448,18 @@ let run conf ?pool specs =
     Array.sort (fun a b -> String.compare labels.(a) labels.(b)) o;
     o
   in
-  let slo = base.Scheduler.slo in
+  let slo = base.Service.slo in
   (* 512 retained latency samples per shard per window: enough for a
      stable windowed p99 at serve rates, bounded so a flash crowd can't
      grow the collector *)
   let tele =
     Telemetry.create
       {
-        Telemetry.window = base.Scheduler.window;
+        Telemetry.window = base.Service.window;
         ring = 512;
         emit = conf.telemetry;
       }
-      ~labels ~base_conc:base.Scheduler.servers
+      ~labels ~base_conc:base.Service.servers
   in
   let asc = Autoscale.create conf.autoscale ~shards:conf.shards in
   (* Effective p99 per shard / fleet-wide, carried across sample-less
@@ -473,7 +485,7 @@ let run conf ?pool specs =
   let aff_key ckey dn = ckey ^ "\x00" ^ dn in
   let wix now =
     if conf.decay = 0 then 0
-    else int_of_float (now /. base.Scheduler.window)
+    else int_of_float (now /. base.Service.window)
   in
   let prune_entries now l =
     if conf.decay = 0 then l
@@ -509,14 +521,14 @@ let run conf ?pool specs =
             r := live;
             List.fold_left (fun acc (_, c) -> Float.min acc c) infinity live)
   in
-  let cache = Cache.create ~capacity:base.Scheduler.cache_capacity in
+  let cache = Cache.create ~capacity:base.Service.cache_capacity in
   let heap = Eheap.create () in
   let shards =
     Array.init conf.shards (fun sid ->
         {
           sid;
           queue = [];
-          conc = base.Scheduler.servers;
+          conc = base.Service.servers;
           busy = 0;
           breakers = Hashtbl.create 16;
           s_placed = 0;
@@ -558,35 +570,34 @@ let run conf ?pool specs =
   (* content-keyed launch memo; only consulted with faults disarmed *)
   let memo : (string, member) Hashtbl.t = Hashtbl.create 64 in
   let memo_armed () = !Gpusim.Fault.armed in
-  (* Key strings are pure functions of (template, size, guardize) under
-     this run's fixed knobs, but computing one rebuilds and re-digests
-     the instantiated IR — which unrolls with the size on chain-style
-     kernels and dominates host time on repeat-heavy traces if paid per
-     placement and per breaker lookup.  Caching the strings changes no
-     bytes: the keys are identical, just not recomputed. *)
-  let ckey_memo : (string * int * bool, string) Hashtbl.t = Hashtbl.create 16 in
-  let ckey_of (spec : Request.spec) =
-    let k = (spec.Request.kernel, spec.Request.size, spec.Request.guardize) in
-    match Hashtbl.find_opt ckey_memo k with
-    | Some c -> c
-    | None ->
-        let c = content_key ~knobs:base.Scheduler.knobs spec in
-        Hashtbl.add ckey_memo k c;
-        c
+  (* Both key strings are pure functions of (template, size, guardize)
+     under this run's fixed knobs, and both start from the instantiated
+     IR's digest — which unrolls with the size on chain-style kernels
+     and dominates host time on repeat-heavy traces if paid per
+     placement and per breaker lookup.  One build and one digest per
+     distinct content serve the content key and the cache key alike. *)
+  let keys_memo : (string * int * bool, string * string) Hashtbl.t =
+    Hashtbl.create 16
   in
-  let okey_memo : (string * int * bool, string) Hashtbl.t = Hashtbl.create 16 in
-  let okey_of (spec : Request.spec) =
+  (* the keys, plus the IR when this call had to build it *)
+  let keys_of (spec : Request.spec) =
     let k = (spec.Request.kernel, spec.Request.size, spec.Request.guardize) in
-    match Hashtbl.find_opt okey_memo k with
-    | Some key -> key
+    match Hashtbl.find_opt keys_memo k with
+    | Some keys -> (keys, None)
     | None ->
         let knobs =
-          { base.Scheduler.knobs with Offload.guardize = spec.Request.guardize }
+          { base.Service.knobs with Offload.guardize = spec.Request.guardize }
         in
-        let key = Offload.cache_key ~knobs (Request.kernel_of_spec spec) in
-        Hashtbl.add okey_memo k key;
-        key
+        let ir = Request.kernel_of_spec spec in
+        let digest = Ompir.Kdigest.hex ir in
+        let keys =
+          ( content_key_of_digest ~knobs spec digest,
+            Offload.cache_key_of_digest ~knobs digest )
+        in
+        Hashtbl.add keys_memo k keys;
+        (keys, Some ir)
   in
+  let okey_of spec = snd (fst (keys_of spec)) in
   (* every record call is a terminal outcome: the report list and the
      telemetry stream see exactly the same events *)
   let record r =
@@ -609,14 +620,18 @@ let run conf ?pool specs =
       latency = now -. p.spec.Request.at;
       compile_ticks = 0.0;
       exec_ticks = 0.0;
-      cache = Scheduler.C_none;
+      cache = Service.C_none;
       checksum = 0.0;
       counters = zero_counters;
     }
   in
-  (* --- per-shard breakers (same policy as the single-device
-     scheduler, but the table is the shard's own: a flaky kernel opens
-     its breaker where it runs, neighbours keep serving it) *)
+  (* --- per-shard circuit breakers -------------------------------------
+     Closed counts consecutive device failures; at [base.breaker] of
+     them it opens and sheds every dispatch of that key as Degraded.
+     After a cooldown of [8 * backoff] ticks the next dispatch is the
+     single half-open probe: success closes, failure reopens.  The table
+     is the shard's own: a flaky kernel opens its breaker where it runs,
+     neighbours keep serving it. *)
   let breaker_for (s : shard_state) key =
     match Hashtbl.find_opt s.breakers key with
     | Some b -> b
@@ -625,11 +640,11 @@ let run conf ?pool specs =
         Hashtbl.add s.breakers key b;
         b
   in
-  let breaker_cooldown = 8.0 *. base.Scheduler.backoff in
+  let breaker_cooldown = 8.0 *. base.Service.backoff in
   (* `Admit = closed; `Probe = the half-open probe (launch solo);
      `Shed = open or another probe in flight *)
   let breaker_admit (s : shard_state) key now =
-    if base.Scheduler.breaker = 0 then `Admit
+    if base.Service.breaker = 0 then `Admit
     else
       let b = breaker_for s key in
       match b.br with
@@ -643,14 +658,14 @@ let run conf ?pool specs =
           else `Shed
   in
   let breaker_ok (s : shard_state) key =
-    if base.Scheduler.breaker > 0 then begin
+    if base.Service.breaker > 0 then begin
       let b = breaker_for s key in
       b.consecutive <- 0;
       b.br <- Br_closed
     end
   in
   let breaker_fail (s : shard_state) key now =
-    if base.Scheduler.breaker > 0 then begin
+    if base.Service.breaker > 0 then begin
       let b = breaker_for s key in
       b.consecutive <- b.consecutive + 1;
       match b.br with
@@ -658,7 +673,7 @@ let run conf ?pool specs =
           b.br <- Br_open now;
           incr breaker_opens;
           s.s_breaker_opens <- s.s_breaker_opens + 1
-      | Br_closed when b.consecutive >= base.Scheduler.breaker ->
+      | Br_closed when b.consecutive >= base.Service.breaker ->
           b.br <- Br_open now;
           incr breaker_opens;
           s.s_breaker_opens <- s.s_breaker_opens + 1
@@ -684,31 +699,38 @@ let run conf ?pool specs =
         Some best
   in
   let pop_queue s = pop_queue_where (fun _ -> true) s in
+  (* Executor headroom and an empty queue: the dispatch sweep after
+     this event launches the request at once, so it passes through
+     past the bound without counting toward the queue peak. *)
+  let passes_through (s : shard_state) = s.busy < s.conc && s.queue = [] in
   let enqueue (s : shard_state) p =
-    s.queue <- p :: s.queue;
-    let depth = List.length s.queue in
-    s.s_queue_max <- max s.s_queue_max depth;
-    Telemetry.observe_queue_depth tele ~shard:s.sid depth
+    if passes_through s then s.queue <- [ p ]
+    else begin
+      s.queue <- p :: s.queue;
+      let depth = List.length s.queue in
+      s.s_queue_max <- max s.s_queue_max depth;
+      Telemetry.observe_queue_depth tele ~shard:s.sid depth
+    end
   in
   let expired (p : pending) now =
     match p.spec.Request.deadline with Some d when now >= d -> true | _ -> false
   in
-  (* admission failure (full queue / fairness loss): the scheduler's
-     retry-with-backoff policy, shared by newcomers and evictees *)
+  (* admission failure (full queue / fairness loss): retry with
+     exponential backoff, shared by newcomers and evictees *)
   let retry_or_drop ~shard now (p : pending) =
-    if p.attempts <= base.Scheduler.max_retries then begin
+    if p.attempts <= base.Service.max_retries then begin
       incr retries;
       shards.(shard).s_retries <- shards.(shard).s_retries + 1;
       let wait =
-        base.Scheduler.backoff *. (2.0 ** float_of_int (p.attempts - 1))
+        base.Service.backoff *. (2.0 ** float_of_int (p.attempts - 1))
       in
       Eheap.push heap (now +. wait) 1 (Arrive { p with attempts = p.attempts + 1 })
     end
     else
       record
         (never_ran ~shard p
-           (if base.Scheduler.max_retries = 0 then Scheduler.Rejected
-            else Scheduler.Shed)
+           (if base.Service.max_retries = 0 then Service.Rejected
+            else Service.Shed)
            now)
   in
   (* --- weighted-fair eviction ------------------------------------------ *)
@@ -790,8 +812,8 @@ let run conf ?pool specs =
     end
   in
   (* --- launching -------------------------------------------------------- *)
-  let real_launch ~cfg compiled (p : pending) =
-    let _kernel, bindings, out = Request.instantiate p.spec in
+  let real_launch ~cfg compiled (p : pending) inst =
+    let _kernel, bindings, out = Lazy.force inst in
     let spec = p.spec in
     let clauses =
       Clause.(
@@ -827,7 +849,8 @@ let run conf ?pool specs =
           m_faults = Gpusim.Fault.zero_stats;
         }
   in
-  let launch_member (s : shard_state) compiled (p : pending) =
+  let launch_member (s : shard_state) compiled ((p : pending), inst) =
+    let p = { p with ir = None } in
     let cfg = devs.(s.sid) in
     (* the memo keys on content *and* device: exec cycles (and under a
        zoo config, occupancy and counters) are functions of the device,
@@ -841,13 +864,13 @@ let run conf ?pool specs =
              (attempts, shard, steal provenance) is this request's own *)
           { m with m_pending = { p with launches = p.launches + 1 } }
       | None ->
-          let m = real_launch ~cfg compiled p in
+          let m = real_launch ~cfg compiled p inst in
           (* a failed result is still memoizable: with no fault plan
              armed, failure (watchdog, genuine deadlock) is as
              deterministic as success *)
           Hashtbl.add memo mkey m;
           m
-    else real_launch ~cfg compiled p
+    else real_launch ~cfg compiled p inst
   in
   let account (s : shard_state) (m : member) =
     incr launches;
@@ -867,37 +890,48 @@ let run conf ?pool specs =
   let start_batch now (s : shard_state) (members_p : pending list) =
     let leader = List.hd members_p in
     let knobs =
-      { base.Scheduler.knobs with Offload.guardize = leader.spec.Request.guardize }
+      { base.Service.knobs with Offload.guardize = leader.spec.Request.guardize }
     in
-    (* the IR is only needed to compile (a miss) or to price the compile
-       charge (also a miss); warm dispatches go through the memoized key *)
-    let kernel = lazy (Request.kernel_of_spec leader.spec) in
+    (* Each member instantiates lazily: a memo hit never builds its
+       bindings.  Instantiation reuses the IR a first arrival built for
+       its keys, and the leader's also supplies the IR a miss compiles
+       and prices, so a cold first dispatch builds no IR at all. *)
+    let members_p =
+      List.map
+        (fun (p : pending) ->
+          (p, lazy (Request.instantiate ?kernel:p.ir p.spec)))
+        members_p
+    in
+    let kernel () =
+      let k, _, _ = Lazy.force (snd (List.hd members_p)) in
+      k
+    in
     let key = okey_of leader.spec in
     let status, result =
       Cache.find_or_compile cache ~key ~compile:(fun () ->
-          Offload.compile_with ~knobs (Lazy.force kernel))
+          Offload.compile_with ~knobs (kernel ()))
     in
     match result with
     | Error _ ->
         List.iter
-          (fun p -> record (never_ran ~shard:s.sid p Scheduler.Failed now))
+          (fun (p, _) -> record (never_ran ~shard:s.sid p Service.Failed now))
           members_p;
         false
     | Ok compiled ->
         let b_cache, b_compile =
           match status with
           | `Miss ->
-              let c = Scheduler.compile_cost (Lazy.force kernel) in
+              let c = Service.compile_cost (kernel ()) in
               Hashtbl.replace compiling key (now +. c);
-              (Scheduler.C_miss, c)
+              (Service.C_miss, c)
           | `Hit | `Joined -> (
               match Hashtbl.find_opt compiling key with
               | Some done_at when done_at > now ->
-                  (Scheduler.C_join, done_at -. now)
-              | _ -> (Scheduler.C_hit, 0.0))
+                  (Service.C_join, done_at -. now)
+              | _ -> (Service.C_hit, 0.0))
         in
         Telemetry.observe_cache tele ~shard:s.sid
-          ~hit:(b_cache <> Scheduler.C_miss);
+          ~hit:(b_cache <> Service.C_miss);
         let members = List.map (launch_member s compiled) members_p in
         List.iter (account s) members;
         let k = List.length members in
@@ -994,11 +1028,11 @@ let run conf ?pool specs =
       | None -> ()
       | Some p ->
           (if expired p now then
-             record (never_ran ~shard:s.sid p Scheduler.Timed_out now)
+             record (never_ran ~shard:s.sid p Service.Timed_out now)
            else
              let key = okey_of p.spec in
              match breaker_admit s key now with
-             | `Shed -> record (never_ran ~shard:s.sid p Scheduler.Degraded now)
+             | `Shed -> record (never_ran ~shard:s.sid p Service.Degraded now)
              | `Probe ->
                  (* the half-open probe flies alone: one launch decides
                     whether the breaker closes, a full batch should not
@@ -1040,8 +1074,7 @@ let run conf ?pool specs =
       shards.(home).s_placed <- shards.(home).s_placed + 1;
       if home <> place ring p.ckey then incr affinity_moves
     end;
-    let p = { p with home } in
-    let s = shards.(p.home) in
+    let s = shards.(home) in
     (* SLO-aware admission: while the fleet's windowed p99 is over the
        target, the lowest-priority class — and any tenant already over
        its fair share of its home queue — is turned away with the
@@ -1051,12 +1084,9 @@ let run conf ?pool specs =
       !shedding
       && (not p.relaunched)
       && (p.spec.Request.priority <= 0 || over_share s p)
-    then record (never_ran ~shard:s.sid p Scheduler.Shed_slo now)
-      (* executor headroom + empty queue: admit past the bound — the
-         sweep below dispatches it immediately, so it never really
-         queues *)
-    else if s.busy < s.conc && s.queue = [] then enqueue s p
-    else if List.length s.queue < base.Scheduler.queue_bound then enqueue s p
+    then record (never_ran ~shard:s.sid p Service.Shed_slo now)
+    else if passes_through s || List.length s.queue < base.Service.queue_bound
+    then enqueue s p
     else begin
       (* full queue: the weighted-fair decision *)
       match fair_victim_tenant s with
@@ -1090,10 +1120,10 @@ let run conf ?pool specs =
   in
   let relaunch now sid (p : pending) =
     let s = shards.(sid) in
-    if expired p now then record (never_ran ~shard:sid p Scheduler.Timed_out now)
+    if expired p now then record (never_ran ~shard:sid p Service.Timed_out now)
     else
-      (* recovery re-enters past the admission bound, like the
-         single-device scheduler: the request was already accepted *)
+      (* recovery re-enters past the admission bound: the request was
+         already accepted *)
       enqueue s { p with relaunched = true }
   in
   let finish now (b : batch_run) =
@@ -1113,7 +1143,7 @@ let run conf ?pool specs =
         let p = m.m_pending in
         let spec = p.spec in
         let cache_status =
-          if i > 0 && b.b_cache = Scheduler.C_miss then Scheduler.C_join
+          if i > 0 && b.b_cache = Service.C_miss then Service.C_join
           else b.b_cache
         in
         let finished outcome =
@@ -1144,49 +1174,49 @@ let run conf ?pool specs =
         if not m.m_failed then begin
           breaker_ok s b.b_key;
           if p.launches > 1 && not past_deadline then incr recovered;
-          finished (if past_deadline then Scheduler.Timed_out else Scheduler.Completed)
+          finished (if past_deadline then Service.Timed_out else Service.Completed)
         end
         else begin
           breaker_fail s b.b_key now;
-          if past_deadline then finished Scheduler.Timed_out
-          else if p.launches <= base.Scheduler.max_retries then begin
+          if past_deadline then finished Service.Timed_out
+          else if p.launches <= base.Service.max_retries then begin
             incr relaunches;
             s.s_relaunches <- s.s_relaunches + 1;
             Telemetry.observe_relaunch tele ~shard:s.sid;
             let wait =
-              base.Scheduler.backoff *. (2.0 ** float_of_int (p.launches - 1))
+              base.Service.backoff *. (2.0 ** float_of_int (p.launches - 1))
             in
             Eheap.push heap (now +. wait) 1 (Relaunch (s.sid, p))
           end
-          else finished Scheduler.Degraded
+          else finished Service.Degraded
         end)
       b.b_members
   in
+  let submit now (spec : Request.spec) =
+    let (ckey, _), ir = keys_of spec in
+    let bkey =
+      Printf.sprintf "%s|%dx%dx%d" ckey spec.Request.teams spec.Request.threads
+        spec.Request.simdlen
+    in
+    let mkey =
+      Printf.sprintf "%s|%d|%d" bkey spec.Request.size spec.Request.seed
+    in
+    arrive now
+      {
+        spec;
+        attempts = 1;
+        launches = 0;
+        ckey;
+        bkey;
+        mkey;
+        stolen = false;
+        relaunched = false;
+        ir;
+      }
+  in
   (* --- seed the heap and drain it --------------------------------------- *)
   List.iter
-    (fun (spec : Request.spec) ->
-      let ckey = ckey_of spec in
-      let bkey =
-        Printf.sprintf "%s|%dx%dx%d" ckey spec.Request.teams
-          spec.Request.threads spec.Request.simdlen
-      in
-      let mkey =
-        Printf.sprintf "%s|%d|%d" bkey spec.Request.size spec.Request.seed
-      in
-      let home = place ring ckey in
-      Eheap.push heap spec.Request.at 1
-        (Arrive
-           {
-             spec;
-             attempts = 1;
-             launches = 0;
-             home;
-             ckey;
-             bkey;
-             mkey;
-             stolen = false;
-             relaunched = false;
-           }))
+    (fun (spec : Request.spec) -> Eheap.push heap spec.Request.at 1 (Submit spec))
     specs;
   (* Live shard state at a window boundary.  [advance] runs before the
      boundary-crossing event is processed, and every event strictly
@@ -1255,13 +1285,15 @@ let run conf ?pool specs =
       (Autoscale.step asc ~window:w.Telemetry.index ~order:label_order ~stats);
     (* A breaker-isolated fault burst that has passed leaves open
        breakers waiting out their full cooldown on a now-healthy shard.
-       A window with zero device failures is the all-clear: fast-forward
-       the shard's open breakers so their next dispatch is the half-open
-       probe — success reopens the path immediately, failure re-opens
-       the breaker as usual.  (Per-entry mutation + a count: iteration
-       order over the table cannot matter.) *)
+       With the autoscaler on, a window with zero device failures is the
+       all-clear: fast-forward the shard's open breakers so their next
+       dispatch is the half-open probe — success reopens the path
+       immediately, failure re-opens the breaker as usual.  Without it,
+       breakers wait out the full [8 * backoff] cooldown.  (Per-entry
+       mutation + a count: iteration order over the table cannot
+       matter.) *)
     let reopens = ref 0 in
-    if base.Scheduler.breaker > 0 then
+    if base.Service.breaker > 0 && conf.autoscale.Autoscale.enabled then
       Array.iteri
         (fun sid (sw : Telemetry.shard_window) ->
           if sw.Telemetry.w_dev_failures = 0 then
@@ -1310,6 +1342,7 @@ let run conf ?pool specs =
            runs: control decisions land exactly on the boundary *)
         Telemetry.advance tele now ~sample ~on_close;
         (match ev with
+        | Submit spec -> submit now spec
         | Arrive p -> arrive now p
         | Relaunch (sid, p) -> relaunch now sid p
         | Finish b -> finish now b);
@@ -1333,7 +1366,7 @@ let run conf ?pool specs =
   let count o = List.length (List.filter (fun r -> r.outcome = o) reports) in
   let latencies =
     reports
-    |> List.filter (fun r -> r.outcome = Scheduler.Completed)
+    |> List.filter (fun r -> r.outcome = Service.Completed)
     |> List.map (fun r -> r.latency)
     |> Array.of_list
   in
@@ -1345,19 +1378,19 @@ let run conf ?pool specs =
   let metrics =
     {
       Metrics.requests = List.length specs;
-      completed = count Scheduler.Completed;
-      rejected = count Scheduler.Rejected;
-      shed = count Scheduler.Shed;
-      shed_slo = count Scheduler.Shed_slo;
-      timed_out = count Scheduler.Timed_out;
-      failed = count Scheduler.Failed;
+      completed = count Service.Completed;
+      rejected = count Service.Rejected;
+      shed = count Service.Shed;
+      shed_slo = count Service.Shed_slo;
+      timed_out = count Service.Timed_out;
+      failed = count Service.Failed;
       retries = !retries;
       queue_max;
       inflight_max = !inflight_max;
-      cache_hits = cstat Scheduler.C_hit;
-      cache_misses = cstat Scheduler.C_miss;
+      cache_hits = cstat Service.C_hit;
+      cache_misses = cstat Service.C_miss;
       cache_evictions = (Cache.stats cache).Cache.evictions;
-      cache_joins = cstat Scheduler.C_join;
+      cache_joins = cstat Service.C_join;
       latency_mean = mean;
       latency_p50 = p50;
       latency_p95 = p95;
@@ -1372,7 +1405,7 @@ let run conf ?pool specs =
       device_failures = !device_failures;
       relaunches = !relaunches;
       recovered = !recovered;
-      degraded = count Scheduler.Degraded;
+      degraded = count Service.Degraded;
       breaker_opens = !breaker_opens;
       slo_violations =
         (match slo with
@@ -1380,7 +1413,7 @@ let run conf ?pool specs =
         | Some s ->
             List.length
               (List.filter
-                 (fun r -> r.outcome = Scheduler.Completed && r.latency > s)
+                 (fun r -> r.outcome = Service.Completed && r.latency > s)
                  reports));
       autoscale_grows = !autoscale_grows;
       autoscale_shrinks = !autoscale_shrinks;
@@ -1404,11 +1437,11 @@ let run conf ?pool specs =
              Metrics.shard = s.sid;
              s_device = devs.(s.sid).Gpusim.Config.name;
              s_placed = s.s_placed;
-             s_completed = on_shard Scheduler.Completed;
-             s_shed = on_shard Scheduler.Rejected + on_shard Scheduler.Shed;
-             s_shed_slo = on_shard Scheduler.Shed_slo;
-             s_timed_out = on_shard Scheduler.Timed_out;
-             s_degraded = on_shard Scheduler.Degraded;
+             s_completed = on_shard Service.Completed;
+             s_shed = on_shard Service.Rejected + on_shard Service.Shed;
+             s_shed_slo = on_shard Service.Shed_slo;
+             s_timed_out = on_shard Service.Timed_out;
+             s_degraded = on_shard Service.Degraded;
              s_launches = s.s_launches;
              s_batches = s.s_batches;
              s_batched_requests = s.s_batched_requests;
@@ -1440,7 +1473,7 @@ let run conf ?pool specs =
         let n o = List.length (List.filter (fun r -> r.outcome = o) mine) in
         let completed_lat =
           mine
-          |> List.filter (fun r -> r.outcome = Scheduler.Completed)
+          |> List.filter (fun r -> r.outcome = Service.Completed)
           |> List.map (fun r -> r.latency)
         in
         let lat_mean =
@@ -1452,11 +1485,11 @@ let run conf ?pool specs =
           Metrics.tenant = t;
           weight = weight_of conf t;
           t_requests = List.length mine;
-          t_completed = n Scheduler.Completed;
-          t_shed = n Scheduler.Rejected + n Scheduler.Shed;
-          t_shed_slo = n Scheduler.Shed_slo;
-          t_timed_out = n Scheduler.Timed_out;
-          t_degraded = n Scheduler.Degraded;
+          t_completed = n Service.Completed;
+          t_shed = n Service.Rejected + n Service.Shed;
+          t_shed_slo = n Service.Shed_slo;
+          t_timed_out = n Service.Timed_out;
+          t_degraded = n Service.Degraded;
           t_evicted =
             Option.value ~default:0 (Hashtbl.find_opt evictions_by_tenant t);
           t_latency_mean = lat_mean;
@@ -1493,9 +1526,9 @@ let report_line (r : rq_report) =
     spec.Request.tenant r.shard
     (if r.stolen then "*" else "")
     r.batched
-    (Scheduler.outcome_to_string r.outcome)
+    (Service.outcome_to_string r.outcome)
     r.attempts r.launches
-    (Scheduler.cache_status_to_string r.cache)
+    (Service.cache_status_to_string r.cache)
     spec.Request.at r.start r.finish r.latency r.compile_ticks r.exec_ticks
     (Int64.bits_of_float r.checksum)
 
@@ -1505,9 +1538,9 @@ let report_json (r : rq_report) =
     "{\"id\": %d, \"kernel\": \"%s\", \"size\": %d, \"prio\": %d, \"tenant\": \"%s\", \"shard\": %d, \"stolen\": %b, \"batch\": %d, \"outcome\": \"%s\", \"attempts\": %d, \"launches\": %d, \"cache\": \"%s\", \"arrive\": %.3f, \"start\": %.3f, \"finish\": %.3f, \"latency\": %.3f, \"compile\": %.3f, \"exec\": %.3f, \"checksum\": \"%Lx\"}"
     spec.Request.id spec.Request.kernel spec.Request.size spec.Request.priority
     spec.Request.tenant r.shard r.stolen r.batched
-    (Scheduler.outcome_to_string r.outcome)
+    (Service.outcome_to_string r.outcome)
     r.attempts r.launches
-    (Scheduler.cache_status_to_string r.cache)
+    (Service.cache_status_to_string r.cache)
     spec.Request.at r.start r.finish r.latency r.compile_ticks r.exec_ticks
     (Int64.bits_of_float r.checksum)
 
@@ -1515,13 +1548,13 @@ let report_json (r : rq_report) =
    request computed and how it ended, with no timing and no shard
    assignment.  For configs that lose no requests to admission (ample
    queues, no deadlines) this is byte-identical across shard counts
-   and batch limits — the fleet's analogue of the single-device
-   engine/pool invariance. *)
+   and batch limits — the fleet's analogue of the engine/pool
+   invariance. *)
 let result_json (r : rq_report) =
   Printf.sprintf
     "{\"id\": %d, \"tenant\": \"%s\", \"outcome\": \"%s\", \"launches\": %d, \"exec\": %.3f, \"checksum\": \"%Lx\"}"
     r.spec.Request.id r.spec.Request.tenant
-    (Scheduler.outcome_to_string r.outcome)
+    (Service.outcome_to_string r.outcome)
     r.launches r.exec_ticks
     (Int64.bits_of_float r.checksum)
 
@@ -1548,19 +1581,19 @@ let snapshot_json conf (res : result) =
   Printf.ksprintf (Buffer.add_string b)
     "{\n\
      \"config\": {\"device\": \"%s\", \"devices\": \"%s\", \"affinity\": %b, \"decay\": %d, \"shards\": %d, \"batch\": %d, \"steal\": %b, \"memo\": %b, \"tenants\": \"%s\", \"queue_bound\": %d, \"servers\": %d, \"cache_capacity\": %d, \"max_retries\": %d, \"backoff\": %.3f, \"breaker\": %d, \"slo\": %s, \"window\": %.3f, \"shed\": %b, \"autoscale\": %b, \"budget\": %d, \"cooldown\": %d},\n"
-    base.Scheduler.cfg.Gpusim.Config.name
+    base.Service.cfg.Gpusim.Config.name
     (String.concat ","
        (List.map (fun (d : Gpusim.Config.t) -> d.Gpusim.Config.name) conf.devices))
     conf.affinity conf.decay conf.shards conf.batch conf.steal conf.memo
     (String.concat ","
        (List.map (fun (t, w) -> Printf.sprintf "%s=%d" t w) conf.tenants))
-    base.Scheduler.queue_bound base.Scheduler.servers
-    base.Scheduler.cache_capacity base.Scheduler.max_retries
-    base.Scheduler.backoff base.Scheduler.breaker
-    (match base.Scheduler.slo with
+    base.Service.queue_bound base.Service.servers
+    base.Service.cache_capacity base.Service.max_retries
+    base.Service.backoff base.Service.breaker
+    (match base.Service.slo with
     | None -> "null"
     | Some s -> Printf.sprintf "%.3f" s)
-    base.Scheduler.window conf.shed conf.autoscale.Autoscale.enabled
+    base.Service.window conf.shed conf.autoscale.Autoscale.enabled
     conf.autoscale.Autoscale.budget conf.autoscale.Autoscale.cooldown;
   Buffer.add_string b "\"requests\": [\n";
   List.iteri

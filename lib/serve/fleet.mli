@@ -1,8 +1,9 @@
-(** The serve fleet: N virtual devices behind one admission plane.
+(** The serve engine: N virtual devices behind one admission plane.
 
-    Each shard replicates the single-device {!Scheduler} machinery — a
-    bounded admission queue, [servers] executors, per-kernel circuit
-    breakers — all driven by one global event heap in virtual time.
+    Each shard has a bounded admission queue, [servers] executors and
+    per-kernel circuit breakers, all driven by one global event heap in
+    virtual time.  This is the service's only event loop: the classic
+    {!Scheduler} is a one-shard fleet with every fleet feature off.
     Requests are placed by a consistent-hash ring over their engine-free
     content identity ({!Ompir.Kdigest} + guardize + resolved pass spec),
     idle shards steal from the deepest neighbour queue, and a dispatching
@@ -40,7 +41,7 @@
     ids. *)
 
 type config = {
-  base : Scheduler.config;
+  base : Service.config;
       (** per-shard queue bound / servers / retries / backoff / breaker,
           plus the device, compile knobs and the fleet-wide compile-cache
           capacity *)
@@ -73,11 +74,13 @@ type config = {
   shed : bool;
       (** SLO-aware admission: while the fleet's windowed p99 is over
           [base.slo], shed lowest-priority arrivals (and over-share
-          tenants) as {!Scheduler.Shed_slo}.  Inert without an SLO. *)
+          tenants) as {!Service.Shed_slo}.  Inert without an SLO. *)
   autoscale : Autoscale.config;
       (** the window-boundary concurrency control loop; see
-          {!Autoscale}.  [Autoscale.disabled] pins every shard at
-          [base.servers]. *)
+          {!Autoscale}.  The loop also fast-forwards a shard's open
+          breakers after a window with no device failures.
+          [Autoscale.disabled] pins every shard at [base.servers] and
+          leaves breakers to their full cooldown. *)
   decay : int;
       (** affinity cost-table horizon in telemetry windows: per-window
           observed minima older than this expire, aging unvisited
@@ -95,7 +98,7 @@ val parse_devices : string -> Gpusim.Config.t list
     @raise Invalid_argument naming the unknown device. *)
 
 val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** {!Scheduler.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 4),
+(** {!Service.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 4),
     [OMPSIMD_SERVE_BATCH] (8), [OMPSIMD_SERVE_STEAL] (1),
     [OMPSIMD_SERVE_MEMO] (1), [OMPSIMD_SERVE_TENANTS] (empty),
     [OMPSIMD_FLEET_DEVICES] (empty = homogeneous),
@@ -123,7 +126,7 @@ val place : (int * int) array -> string -> int
 type rq_report = {
   spec : Request.spec;
   shard : int;  (** where the terminal event happened *)
-  outcome : Scheduler.outcome;
+  outcome : Service.outcome;
   attempts : int;
   launches : int;
   batched : int;  (** members of its terminal merged grid; 0 = never ran *)
@@ -133,7 +136,7 @@ type rq_report = {
   latency : float;
   compile_ticks : float;
   exec_ticks : float;  (** its own member cycles, not the batch window *)
-  cache : Scheduler.cache_status;
+  cache : Service.cache_status;
       (** the batch leader's status; mates of a miss report [C_join] *)
   checksum : float;
   counters : Gpusim.Counters.t;
@@ -192,7 +195,7 @@ val snapshot_json : config -> result -> string
 (** The full machine-readable snapshot: config, per-request reports,
     per-shard and per-tenant breakdowns, fleet counters, aggregate
     metrics.  Bit-identical across [OMPSIMD_EVAL] and
-    [OMPSIMD_DOMAINS], like the single-device snapshot. *)
+    [OMPSIMD_DOMAINS], like the classic {!Scheduler} snapshot. *)
 
 val to_text : result -> string
 (** Aggregate metrics plus fleet, per-shard and per-tenant lines. *)

@@ -187,9 +187,11 @@ let kernel_of_spec spec =
 (* Bindings: fresh space per request, data filled from the request seed
    (mixed with the template name so equal seeds on different templates
    still decorrelate). *)
-let instantiate spec =
+let instantiate ?kernel spec =
   let module Memory = Gpusim.Memory in
-  let kernel = kernel_of_spec spec in
+  let kernel =
+    match kernel with Some k -> k | None -> kernel_of_spec spec
+  in
   let space = Memory.space () in
   let g =
     Prng.create ~seed:(spec.seed + (1021 * String.length spec.kernel)

@@ -46,12 +46,15 @@ val kernel_of_spec : spec -> Ompir.Ir.kernel
     different digests).  @raise Failure on an unknown template. *)
 
 val instantiate :
+  ?kernel:Ompir.Ir.kernel ->
   spec ->
   Ompir.Ir.kernel
   * (string * Ompir.Eval.binding) list
   * Gpusim.Memory.farray
 (** Kernel, bindings in a fresh memory space (data from [seed]), and
-    the output array to checksum for the per-request report. *)
+    the output array to checksum for the per-request report.  Pass
+    [kernel] when the caller already holds [kernel_of_spec spec]; the
+    template is not built again. *)
 
 val checksum : Gpusim.Memory.farray -> float
 (** Plain sum of the array — enough to witness bit-identical results. *)

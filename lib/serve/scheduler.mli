@@ -1,119 +1,97 @@
-(** The request scheduler: a discrete-event simulation of the
-    persistent kernel-launch service, in virtual time.
+(** The classic single-device service: a one-shard {!Fleet}.
 
-    Admission is a bounded queue with explicit {!Rejected} / {!Shed}
-    outcomes and a retry-with-exponential-backoff policy for transient
-    admission failures; dispatch is highest-priority-first over
-    [servers] virtual executors; per-request deadlines are enforced
-    both while queued (an expired request never launches) and at
-    completion (a late finish reports {!Timed_out}).  A request's
-    service time is its launch's simulated device cycles plus a
-    structural compile cost charged once per cache key (single-flight:
-    requests dispatched during an in-flight compile pay only the
-    residual wait).  Host-side, compilation runs once per key through
-    {!Cache} — the real wall-clock amortization.
+    {!run} replays a trace through {!Fleet.run} with one shard and every
+    fleet feature off — no batching, stealing, memo, device list,
+    affinity or autoscaler — and keeps this module's historical report
+    and snapshot formats.  Admission is a bounded queue with explicit
+    {!Rejected} / {!Shed} outcomes and retry with exponential backoff;
+    dispatch is highest-priority-first over [servers] virtual
+    executors; deadlines are enforced while queued and at completion.
+    A request's service time is its launch's simulated device cycles
+    plus a structural compile cost charged once per cache key
+    (single-flight: requests dispatched during an in-flight compile pay
+    only the residual wait).  Host-side, compilation runs once per key
+    through {!Cache}.
+
+    The vocabulary is {!Service}'s and the report is {!Fleet}'s,
+    re-exported here by type equation so [Scheduler.*] paths keep
+    working.
 
     Nothing reads the host clock: replaying a trace yields bit-identical
     reports and metrics for any [OMPSIMD_DOMAINS] and either engine. *)
 
-type outcome =
+type outcome = Service.outcome =
   | Completed
-  | Rejected  (** admission failed and the config allows no retries *)
-  | Shed  (** dropped after exhausting its retry budget *)
+  | Rejected
+  | Shed
   | Shed_slo
-      (** turned away by SLO-aware admission: the windowed p99 was over
-          the latency target, so the lowest-priority class is shed
-          explicitly — counted, terminal, never a silent drop *)
-  | Timed_out  (** deadline expired (while queued, or finished late) *)
-  | Failed  (** the kernel did not compile *)
+  | Timed_out
+  | Failed
   | Degraded
-      (** device failures exhausted the relaunch budget, or the
-          kernel's circuit breaker was open — distinct from admission
-          loss ({!Rejected}/{!Shed}): the service gave up on a request
-          it had accepted *)
 
 val outcome_to_string : outcome -> string
 
-type cache_status = C_hit | C_miss | C_join | C_none
+type cache_status = Service.cache_status = C_hit | C_miss | C_join | C_none
 
 val cache_status_to_string : cache_status -> string
 
-type rq_report = {
-  spec : Request.spec;
-  outcome : outcome;
-  attempts : int;  (** admission attempts, 1 = admitted first try *)
-  launches : int;
-      (** device launches performed; 0 = never ran, > 1 = recovery
-          relaunched after device failures *)
-  start : float;  (** tick of the terminal launch; -1 when never dispatched *)
-  finish : float;  (** terminal-event tick *)
-  latency : float;  (** finish - arrival *)
-  compile_ticks : float;  (** virtual compile component (miss/join) *)
-  exec_ticks : float;  (** the launch's simulated device cycles *)
-  cache : cache_status;
-  checksum : float;  (** output-array checksum; 0 when never ran *)
-}
-
-type config = {
+type config = Service.config = {
   cfg : Gpusim.Config.t;
   queue_bound : int;
   servers : int;
-  cache_capacity : int;  (** 0 disables the cache *)
+  cache_capacity : int;
   max_retries : int;
-      (** budget shared by admission retries and device-failure
-          relaunches (counted separately: admissions vs launches) *)
-  backoff : float;  (** base ticks; attempt k waits backoff * 2^(k-1) *)
+  backoff : float;
   breaker : int;
-      (** consecutive device failures of one cache key that open its
-          circuit breaker; 0 disables the breaker.  Open sheds that
-          kernel's dispatches as {!Degraded}; after a cooldown of
-          [8 * backoff] ticks one half-open probe goes through —
-          success closes the breaker, failure reopens it. *)
   slo : float option;
-      (** latency SLO in virtual ticks; arms SLO-aware admission (and,
-          in the fleet, the autoscaler and telemetry SLO tracking);
-          [None] disables all of it *)
   window : float;
-      (** telemetry/SLO evaluation window in virtual ticks: completion
-          latencies are aggregated per window and the windowed p99
-          drives the shedding decision for the next window *)
-  knobs : Openmp.Offload.knobs;  (** guardize is overridden per request *)
+  knobs : Openmp.Offload.knobs;
 }
 
 val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** Defaults overridable by the [OMPSIMD_SERVE_QUEUE] (16),
-    [OMPSIMD_SERVE_CONC] (2), [OMPSIMD_SERVE_CACHE] (32),
-    [OMPSIMD_SERVE_RETRIES] (2), [OMPSIMD_SERVE_BACKOFF] (500),
-    [OMPSIMD_SERVE_BREAKER] (4), [OMPSIMD_SERVE_SLO_MS] (unset; a
-    positive millisecond value, 1 ms = 1000 ticks) and
-    [OMPSIMD_SERVE_WINDOW] (20000 ticks) environment knobs — blank
-    values mean default, as everywhere. *)
+(** {!Service.config_of_env}. *)
 
 val compile_cost : Ompir.Ir.kernel -> float
-(** The virtual compile charge: 200 + 25 ticks per IR node. *)
+(** {!Service.compile_cost}. *)
+
+type rq_report = Fleet.rq_report = {
+  spec : Request.spec;
+  shard : int;
+  outcome : outcome;
+  attempts : int;
+  launches : int;
+  batched : int;
+  stolen : bool;
+  start : float;
+  finish : float;
+  latency : float;
+  compile_ticks : float;
+  exec_ticks : float;
+  cache : cache_status;
+  checksum : float;
+  counters : Gpusim.Counters.t;
+}
 
 val run :
   config ->
   ?pool:Gpusim.Pool.t ->
   Request.spec list ->
   rq_report list * Metrics.t
-(** Replay the trace to completion.  Reports come back in request-id
-    order.
+(** Replay the trace to completion through the one-shard fleet.
+    Reports come back in request-id order.
 
-    Device failures (failed blocks in a launch report under an armed
-    [OMPSIMD_FAULTS] plan, an over-budget [OMPSIMD_WATCHDOG] finding,
-    or an escaped divergence deadlock) are retryable: the request is
-    relaunched with exponential backoff — reusing the cached compile
-    artifact and bypassing the admission bound — until it completes or
-    exhausts [max_retries] launches, when it reports {!Degraded}.  A
-    replay re-arms {!Gpusim.Fault} from the environment and rewinds its
-    launch nonce, so the same trace under the same fault seed injects
-    the identical fault sequence — bit-identical reports and metrics
-    across engines and pool widths.
+    Device failures (failed blocks under an armed [OMPSIMD_FAULTS]
+    plan, an over-budget [OMPSIMD_WATCHDOG] finding, or an escaped
+    divergence deadlock) are retryable: the request is relaunched with
+    exponential backoff — reusing the cached compile artifact and
+    bypassing the admission bound — until it completes or exhausts
+    [max_retries] launches, when it reports {!Degraded}.  Every launch
+    pins its {!Gpusim.Fault} nonce to (request id, attempt), so the
+    same trace under the same fault seed injects the identical faults.
 
-    With [slo] set, completions feed a windowed p99 and arrivals of the
-    lowest priority class are shed as {!Shed_slo} while the previous
-    window's p99 was over the target.
+    With [slo] set, arrivals of the lowest priority class (and of a
+    tenant over its fair share of the queue) are shed as {!Shed_slo}
+    while the previous window's p99 was over the target.
 
     @raise Invalid_argument on [servers < 1], a negative queue bound,
     a negative breaker threshold or a non-positive window. *)

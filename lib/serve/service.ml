@@ -1,0 +1,77 @@
+(* The service vocabulary shared by the scheduler, the fleet and the
+   telemetry collector: terminal outcomes, cache statuses, the
+   per-device configuration and the virtual compile charge. *)
+
+module Env = Ompsimd_util.Env
+
+type outcome =
+  | Completed
+  | Rejected
+  | Shed
+  | Shed_slo
+  | Timed_out
+  | Failed
+  | Degraded
+
+let outcome_to_string = function
+  | Completed -> "completed"
+  | Rejected -> "rejected"
+  | Shed -> "shed"
+  | Shed_slo -> "shed-slo"
+  | Timed_out -> "timed-out"
+  | Failed -> "failed"
+  | Degraded -> "degraded"
+
+type cache_status = C_hit | C_miss | C_join | C_none
+
+let cache_status_to_string = function
+  | C_hit -> "hit"
+  | C_miss -> "miss"
+  | C_join -> "join"
+  | C_none -> "-"
+
+type config = {
+  cfg : Gpusim.Config.t;
+  queue_bound : int;
+  servers : int;
+  cache_capacity : int;
+  max_retries : int;
+  backoff : float;  (* base ticks; attempt k waits backoff * 2^(k-1) *)
+  breaker : int;  (* consecutive device failures that open it; 0 = off *)
+  slo : float option;  (* latency SLO in virtual ticks; None = no SLO *)
+  window : float;  (* telemetry/SLO evaluation window, virtual ticks *)
+  knobs : Openmp.Offload.knobs;  (* guardize is overridden per request *)
+}
+
+(* OMPSIMD_SERVE_SLO_MS speaks milliseconds of virtual time (1 ms =
+   1000 ticks) — SLOs are operator-facing, ticks are not. *)
+let slo_of_env () =
+  match Env.var "OMPSIMD_SERVE_SLO_MS" with
+  | None -> None
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some ms when ms > 0.0 -> Some (ms *. 1000.0)
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "OMPSIMD_SERVE_SLO_MS must be a positive number, got %S" s))
+
+let config_of_env ~cfg () =
+  {
+    cfg;
+    queue_bound = Env.int "OMPSIMD_SERVE_QUEUE" ~default:16;
+    servers = Env.int "OMPSIMD_SERVE_CONC" ~default:2;
+    cache_capacity = Env.int "OMPSIMD_SERVE_CACHE" ~default:32;
+    max_retries = Env.int "OMPSIMD_SERVE_RETRIES" ~default:2;
+    backoff = Env.float "OMPSIMD_SERVE_BACKOFF" ~default:500.0;
+    breaker = Env.int "OMPSIMD_SERVE_BREAKER" ~default:4;
+    slo = slo_of_env ();
+    window = Env.float "OMPSIMD_SERVE_WINDOW" ~default:20_000.0;
+    knobs = Openmp.Offload.default_knobs;
+  }
+
+(* Virtual compile cost: purely structural, so it is identical on every
+   host.  25 ticks per IR node on a 200-tick floor lands small kernels
+   in the same decade as their launch times on the small device. *)
+let compile_cost kernel =
+  200.0 +. (25.0 *. float_of_int (Ompir.Kdigest.weight kernel))

@@ -1,0 +1,64 @@
+(** The service vocabulary: terminal outcomes, cache statuses and the
+    per-device configuration every serve module speaks.  It sits below
+    {!Telemetry} and {!Fleet}; {!Scheduler} re-exports all of it by
+    type equation. *)
+
+type outcome =
+  | Completed
+  | Rejected  (** admission failed and the config allows no retries *)
+  | Shed  (** dropped after exhausting its retry budget *)
+  | Shed_slo
+      (** turned away by SLO-aware admission: the windowed p99 was over
+          the latency target, so the lowest-priority class is shed
+          explicitly — counted, terminal, never a silent drop *)
+  | Timed_out  (** deadline expired (while queued, or finished late) *)
+  | Failed  (** the kernel did not compile *)
+  | Degraded
+      (** device failures exhausted the relaunch budget, or the
+          kernel's circuit breaker was open — distinct from admission
+          loss ({!Rejected}/{!Shed}): the service gave up on a request
+          it had accepted *)
+
+val outcome_to_string : outcome -> string
+
+type cache_status = C_hit | C_miss | C_join | C_none
+
+val cache_status_to_string : cache_status -> string
+
+type config = {
+  cfg : Gpusim.Config.t;
+  queue_bound : int;
+  servers : int;
+  cache_capacity : int;  (** 0 disables the cache *)
+  max_retries : int;
+      (** budget shared by admission retries and device-failure
+          relaunches (counted separately: admissions vs launches) *)
+  backoff : float;  (** base ticks; attempt k waits backoff * 2^(k-1) *)
+  breaker : int;
+      (** consecutive device failures of one cache key that open its
+          circuit breaker; 0 disables the breaker.  Open sheds that
+          kernel's dispatches as {!Degraded}; after a cooldown of
+          [8 * backoff] ticks one half-open probe goes through —
+          success closes the breaker, failure reopens it. *)
+  slo : float option;
+      (** latency SLO in virtual ticks; arms SLO-aware admission (and,
+          with the autoscaler on, its control loop); [None] disables
+          all of it *)
+  window : float;
+      (** telemetry/SLO evaluation window in virtual ticks: completion
+          latencies are aggregated per window and the windowed p99
+          drives the shedding decision for the next window *)
+  knobs : Openmp.Offload.knobs;  (** guardize is overridden per request *)
+}
+
+val config_of_env : cfg:Gpusim.Config.t -> unit -> config
+(** Defaults overridable by the [OMPSIMD_SERVE_QUEUE] (16),
+    [OMPSIMD_SERVE_CONC] (2), [OMPSIMD_SERVE_CACHE] (32),
+    [OMPSIMD_SERVE_RETRIES] (2), [OMPSIMD_SERVE_BACKOFF] (500),
+    [OMPSIMD_SERVE_BREAKER] (4), [OMPSIMD_SERVE_SLO_MS] (unset; a
+    positive millisecond value, 1 ms = 1000 ticks) and
+    [OMPSIMD_SERVE_WINDOW] (20000 ticks) environment knobs — blank
+    values mean default, as everywhere. *)
+
+val compile_cost : Ompir.Ir.kernel -> float
+(** The virtual compile charge: 200 + 25 ticks per IR node. *)

@@ -144,21 +144,21 @@ let create conf ~labels ~base_conc =
 
 (* --- observations ------------------------------------------------------- *)
 
-let observe_terminal t ~shard (outcome : Scheduler.outcome) ~latency ~slo =
+let observe_terminal t ~shard (outcome : Service.outcome) ~latency ~slo =
   let a = t.accs.(shard) in
   match outcome with
-  | Scheduler.Completed ->
+  | Service.Completed ->
       a.a_completed <- a.a_completed + 1;
       a.lat.(a.lat_n mod t.conf.ring) <- latency;
       a.lat_n <- a.lat_n + 1;
       (match slo with
       | Some s when latency > s -> a.a_violations <- a.a_violations + 1
       | _ -> ())
-  | Scheduler.Rejected | Scheduler.Shed -> a.a_shed <- a.a_shed + 1
-  | Scheduler.Shed_slo -> a.a_shed_slo <- a.a_shed_slo + 1
-  | Scheduler.Timed_out -> a.a_timed_out <- a.a_timed_out + 1
-  | Scheduler.Failed -> a.a_failed <- a.a_failed + 1
-  | Scheduler.Degraded -> a.a_degraded <- a.a_degraded + 1
+  | Service.Rejected | Service.Shed -> a.a_shed <- a.a_shed + 1
+  | Service.Shed_slo -> a.a_shed_slo <- a.a_shed_slo + 1
+  | Service.Timed_out -> a.a_timed_out <- a.a_timed_out + 1
+  | Service.Failed -> a.a_failed <- a.a_failed + 1
+  | Service.Degraded -> a.a_degraded <- a.a_degraded + 1
 
 let observe_launch t ~shard ~failed =
   let a = t.accs.(shard) in

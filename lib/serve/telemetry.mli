@@ -73,7 +73,7 @@ val create : config -> labels:string array -> base_conc:int -> t
     @raise Invalid_argument on a non-positive window or ring. *)
 
 val observe_terminal :
-  t -> shard:int -> Scheduler.outcome -> latency:float -> slo:float option -> unit
+  t -> shard:int -> Service.outcome -> latency:float -> slo:float option -> unit
 (** A request reached its terminal outcome on [shard]; completions feed
     the latency ring and, when over [slo], the violation counter. *)
 

@@ -424,14 +424,19 @@ let test_serve_recovery () =
 let test_serve_breaker () =
   (* always-fatal plan, breaker threshold 2, no relaunch budget: the
      first two requests fail and open the kernel's breaker, the third
-     (arriving well inside the cooldown) is shed without launching *)
+     (arriving well inside the cooldown) is shed without launching.
+     The geometry gives every launch enough work that its victim thread
+     reaches the abort trigger, whatever nonce the launch draws. *)
   with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
     (fun () ->
+      let spec ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
       let reports, m =
         Scheduler.run
           (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000_000.0 ())
           [ spec ~at:0.0 0; spec ~at:200_000.0 1; spec ~at:400_000.0 2 ]
       in
+      check_int "every launch failed" m.Metrics.launches
+        m.Metrics.device_failures;
       Alcotest.check outcome "first degraded" Scheduler.Degraded
         (List.nth reports 0).Scheduler.outcome;
       Alcotest.check outcome "second degraded" Scheduler.Degraded

@@ -785,6 +785,68 @@ let test_operability_snapshot () =
   let walk = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ()) in
   Alcotest.(check string) "walk engine identical" reference walk
 
+(* A request admitted into executor headroom on an empty queue is
+   dispatched by the same event, so it never occupies a queue slot: with
+   no queue at all, the peak stays 0 and every shard within its bound. *)
+let test_pass_through_not_queued () =
+  let specs =
+    List.init 6 (fun i -> spec ~at:(float_of_int (i / 2) *. 100_000.0) i)
+  in
+  let res =
+    Fleet.run (fconf ~shards:2 ~batch:1 ~queue_bound:0 ~servers:1 ()) specs
+  in
+  Alcotest.(check int) "queue peak" 0 res.Fleet.metrics.Metrics.queue_max;
+  List.iter
+    (fun (s : Metrics.shard_stats) ->
+      Alcotest.(check bool) "shard peak within its bound" true
+        (s.Metrics.s_queue_max <= 0))
+    res.Fleet.shard_stats;
+  Alcotest.(check bool) "some requests ran" true
+    (res.Fleet.metrics.Metrics.completed > 0)
+
+(* The clean-window breaker fast-forward belongs to the autoscaler loop.
+   Two always-failing launches open the breaker; the third request
+   arrives after many failure-free windows but well inside the
+   [8 * backoff] cooldown, and the fourth after it.  Without the
+   autoscaler the breaker waits out its cooldown (the third is shed, the
+   fourth is the half-open probe); with it, a clean window fast-forwards
+   the breaker and the third goes through as the probe. *)
+let test_breaker_fast_forward_gate () =
+  let specs =
+    List.map
+      (fun (id, at) -> spec ~at ~size:2048 ~teams:2 ~threads:64 id)
+      [ (0, 0.0); (1, 100_000.0); (2, 400_000.0); (3, 1_200_000.0) ]
+  in
+  let run autoscale =
+    with_env2
+      [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ]
+      (fun () ->
+        Fleet.run
+          (fconf ~shards:1 ~batch:1 ~memo:false ~retries:0 ~breaker:2
+             ~backoff:100_000.0 ~autoscale ())
+          specs)
+  in
+  let launches (res : Fleet.result) id =
+    (List.nth res.Fleet.reports id).Fleet.launches
+  in
+  let fixed = run Serve.Autoscale.disabled in
+  Alcotest.(check int) "every launch failed"
+    fixed.Fleet.metrics.Metrics.launches
+    fixed.Fleet.metrics.Metrics.device_failures;
+  Alcotest.(check bool) "the breaker opened" true
+    (fixed.Fleet.metrics.Metrics.breaker_opens >= 1);
+  Alcotest.(check int) "no fast-forward without the autoscaler" 0
+    fixed.Fleet.metrics.Metrics.breaker_reopens;
+  Alcotest.check outcome "open through clean windows" Scheduler.Degraded
+    (f_outcome fixed 2);
+  Alcotest.(check int) "the shed request never launched" 0 (launches fixed 2);
+  Alcotest.(check int) "the probe after the cooldown launched" 1
+    (launches fixed 3);
+  let scaled = run operability_autoscale in
+  Alcotest.(check bool) "the autoscaler loop fast-forwards" true
+    (scaled.Fleet.metrics.Metrics.breaker_reopens >= 1);
+  Alcotest.(check int) "the third request is the probe" 1 (launches scaled 2)
+
 (* qcheck: the telemetry JSONL is part of the determinism contract —
    byte-identical across evaluation engines, pool widths and device
    shuffles (windows key on member labels, never shard ids). *)
@@ -954,6 +1016,10 @@ let suite =
           test_affinity_decay;
         Alcotest.test_case "fleet: operability snapshot shape and replay"
           `Quick test_operability_snapshot;
+        Alcotest.test_case "fleet: pass-through admissions never queue"
+          `Quick test_pass_through_not_queued;
+        Alcotest.test_case "fleet: breaker fast-forward needs the autoscaler"
+          `Quick test_breaker_fast_forward_gate;
         QCheck_alcotest.to_alcotest fleet_telemetry_replay;
         Alcotest.test_case "autoscale: hysteresis, cooldown and budget" `Quick
           test_autoscale_hysteresis;

@@ -1,0 +1,42 @@
+#!/bin/sh
+# Report the size of the libraries and their environment surface.
+#
+# Prints the .ml and .mli line counts of every library under lib/,
+# their totals, and the number of distinct OMPSIMD_* knobs the
+# libraries read (a knob counts when its name appears as a string
+# literal in a lib/ .ml file, which is how every Env read spells it).
+# Pass --names to list the knobs as well.
+#
+# Usage: tools/loc_report.sh [--names]   (from anywhere in the repo)
+set -eu
+
+cd "$(dirname "$0")/.."
+
+lines() {
+  # total line count of the given files; 0 when there are none
+  if [ "$#" -eq 0 ]; then echo 0; else cat "$@" | wc -l | tr -d ' '; fi
+}
+
+printf '%-18s %7s %7s %7s\n' library ml mli total
+ml_all=0
+mli_all=0
+for dir in lib/*/; do
+  dir=${dir%/}
+  # shellcheck disable=SC2046
+  ml=$(lines $(find "$dir" -name '*.ml' | sort))
+  # shellcheck disable=SC2046
+  mli=$(lines $(find "$dir" -name '*.mli' | sort))
+  printf '%-18s %7d %7d %7d\n' "$dir" "$ml" "$mli" $((ml + mli))
+  ml_all=$((ml_all + ml))
+  mli_all=$((mli_all + mli))
+done
+printf '%-18s %7d %7d %7d\n' "lib (all)" "$ml_all" "$mli_all" \
+  $((ml_all + mli_all))
+
+knobs=$(grep -rhoE '"OMPSIMD_[A-Z0-9_]+"' lib --include='*.ml' \
+  | tr -d '"' | sort -u)
+printf 'OMPSIMD_* knobs read under lib/: %d\n' \
+  "$(printf '%s\n' "$knobs" | grep -c .)"
+if [ "${1:-}" = "--names" ]; then
+  printf '%s\n' "$knobs" | sed 's/^/  /'
+fi
