@@ -18,10 +18,3 @@ val pp_error : Format.formatter -> error -> unit
 
 val kernel : Ir.kernel -> (unit, error list) result
 (** All diagnostics, not just the first. *)
-
-val expr_type :
-  params:(string * Ir.param_ty) list ->
-  locals:(string * Ir.ty) list ->
-  Ir.expr ->
-  (Ir.ty, string) result
-(** Type of an expression in the given environment — exposed for tests. *)

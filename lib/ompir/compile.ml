@@ -59,16 +59,28 @@ let rec nth_frame env d =
 (* ------------------------------------------------------------------ *)
 (* Compile-time scope                                                  *)
 
-(* A compile-time frame mirrors one runtime frame array: an assoc of
-   name -> slot with the most recent declaration first, so shadowing
-   resolves exactly like the walker's cons-front scan. *)
-type senv = (string * int) list list
+module SM = Map.Make (String)
+
+(* A compile-time frame mirrors one runtime frame array: a map from
+   each name to the slot of its most recent declaration, so shadowing
+   resolves exactly like the walker's cons-front scan, in O(log n).
+   [size] counts every slot handed out, shadowed ones included, so it
+   is the next free slot. *)
+type sframe = { slots : int SM.t; size : int }
+
+type senv = sframe list
+
+let empty_frame = { slots = SM.empty; size = 0 }
+
+let declare frame name =
+  ({ slots = SM.add name frame.size frame.slots; size = frame.size + 1 },
+   frame.size)
 
 let resolve senv name =
   let rec go depth = function
     | [] -> None
     | frame :: rest -> (
-        match List.assoc_opt name frame with
+        match SM.find_opt name frame.slots with
         | Some slot -> Some (depth, slot)
         | None -> go (depth + 1) rest)
   in
@@ -322,7 +334,17 @@ let decls_until_guard stmts =
 let rec compile_block statics outlined options senv ~init stmts =
   let ninit = List.length init in
   let nslots = ninit + decl_count stmts in
-  let frame0 = List.mapi (fun i n -> (n, i)) init in
+  (* slot i holds init's i-th name; the first of equal names wins *)
+  let frame0 =
+    {
+      slots =
+        List.fold_right
+          (fun (i, n) m -> SM.add n i m)
+          (List.mapi (fun i n -> (i, n)) init)
+          SM.empty;
+      size = ninit;
+    }
+  in
   let rec go senv acc = function
     | [] -> List.rev acc
     | s :: rest ->
@@ -380,10 +402,10 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
   | Ir.Decl { name; init; _ } ->
       let ce = compile_expr statics senv init in
       let frame, rest =
-        match senv with f :: r -> (f, r) | [] -> ([], [])
+        match senv with f :: r -> (f, r) | [] -> (empty_frame, [])
       in
-      let slot = List.length frame in
-      let senv' = ((name, slot) :: frame) :: rest in
+      let frame, slot = declare frame name in
+      let senv' = frame :: rest in
       ( senv',
         fun ctx env ->
           let v = ce ctx env in
@@ -562,21 +584,19 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
       in
       (* room for the enclosing block's later decls (see above) *)
       let nslots = nslots + guard_extra in
-      let gsenv =
-        (* slots of the guarded frame, computed like compile_block did *)
-        let _, compiled_names =
-          List.fold_left
-            (fun (i, acc) s ->
-              match s with
-              | Ir.Decl { name; _ } -> (i + 1, (name, i) :: acc)
-              | _ -> (i, acc))
-            (0, []) body
-        in
-        compiled_names
+      (* slots of the guarded frame, computed like compile_block did;
+         broadcast entries in walker order: most recent decl first *)
+      let gframe, entry_slots =
+        List.fold_left
+          (fun (frame, entries) s ->
+            match s with
+            | Ir.Decl { name; _ } ->
+                let frame, slot = declare frame name in
+                (frame, (name, slot) :: entries)
+            | _ -> (frame, entries))
+          (empty_frame, []) body
       in
-      (* broadcast entries in walker order: most recent decl first *)
-      let entry_slots = gsenv in
-      let senv' = gsenv :: senv in
+      let senv' = gframe :: senv in
       ( senv',
         fun ctx env ->
           let team = ctx.Team.team in
@@ -627,7 +647,7 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
               Team.sync_warp ctx;
               List.iter
                 (fun (n, v) ->
-                  match List.assoc_opt n entry_slots with
+                  match SM.find_opt n gframe.slots with
                   | Some slot -> frame.(slot) <- ref v
                   | None -> ())
                 entries;

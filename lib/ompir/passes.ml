@@ -44,32 +44,39 @@ let stmt_list_reads body =
 (* Remove Decls and Assigns of scalars that no later statement reads.
    Conservative: a name read anywhere in the enclosing body (even before
    the site) keeps it — loops make flow-sensitive liveness subtle and the
-   win does not justify it here. *)
-let rec dce_body body =
-  let reads = stmt_list_reads body in
+   win does not justify it here.  [outer] holds the reads of the
+   enclosing bodies: an assignment in a nested body may write a variable
+   read only outside it, and a [Guarded] block's declarations extend the
+   enclosing scope, so both are judged against it too. *)
+let rec dce_body ?(outer = Names.empty) ?(transparent = false) body =
+  let own = stmt_list_reads body in
+  let reads = Names.union outer own in
+  let decl_reads = if transparent then reads else own in
+  let nested b = dce_body ~outer:reads b in
   body
   |> List.filter_map (fun (s : Ir.stmt) ->
          match s with
          | Ir.Decl { name; init; _ }
-           when (not (Names.mem name reads)) && Fold.is_pure init ->
+           when (not (Names.mem name decl_reads)) && Fold.is_pure init ->
              None
          | Ir.Assign (name, e)
            when (not (Names.mem name reads)) && Fold.is_pure e ->
              None
-         | Ir.If (c, a, b) -> Some (Ir.If (c, dce_body a, dce_body b))
-         | Ir.While (c, b) -> Some (Ir.While (c, dce_body b))
+         | Ir.If (c, a, b) -> Some (Ir.If (c, nested a, nested b))
+         | Ir.While (c, b) -> Some (Ir.While (c, nested b))
          | Ir.For { var; lo; hi; body } ->
-             Some (Ir.For { var; lo; hi; body = dce_body body })
+             Some (Ir.For { var; lo; hi; body = nested body })
          | Ir.Distribute_parallel_for d ->
-             Some (Ir.Distribute_parallel_for { d with Ir.body = dce_body d.Ir.body })
+             Some (Ir.Distribute_parallel_for { d with Ir.body = nested d.Ir.body })
          | Ir.Parallel_for d ->
-             Some (Ir.Parallel_for { d with Ir.body = dce_body d.Ir.body })
-         | Ir.Simd d -> Some (Ir.Simd { d with Ir.body = dce_body d.Ir.body })
+             Some (Ir.Parallel_for { d with Ir.body = nested d.Ir.body })
+         | Ir.Simd d -> Some (Ir.Simd { d with Ir.body = nested d.Ir.body })
          | Ir.Simd_sum { acc; value; dir } ->
              Some
                (Ir.Simd_sum
-                  { acc; value; dir = { dir with Ir.body = dce_body dir.Ir.body } })
-         | Ir.Guarded b -> Some (Ir.Guarded (dce_body b))
+                  { acc; value; dir = { dir with Ir.body = nested dir.Ir.body } })
+         | Ir.Guarded b ->
+             Some (Ir.Guarded (dce_body ~outer:reads ~transparent:true b))
          | s -> Some s)
 
 let dce =

@@ -109,5 +109,7 @@ val run : pass list -> Ir.kernel -> Ir.kernel
 val run_verified :
   pass list -> Ir.kernel -> (Ir.kernel, string * Check.error list) result
 (** Like {!run} but re-checks well-formedness after every pass, reporting
-    the name of the first pass that broke the kernel — a pass-author
-    debugging aid. *)
+    the name of the first pass that broke the kernel.  Every production
+    compile runs through it ([Openmp.Offload.compile]), so a kernel is
+    checked once per pass on top of the initial check; each
+    {!Check.kernel} is linear (expected) in the kernel's size. *)

@@ -24,6 +24,7 @@
    kernels. *)
 
 module S = Set.Make (String)
+module SM = Map.Make (String)
 
 type finding = {
   array : string;  (** array written *)
@@ -41,19 +42,12 @@ let pp_finding ppf f =
 let finding_to_string f = Format.asprintf "%a" pp_finding f
 
 (* Scalar environment: variable -> set of parallel induction vars its
-   value depends on.  Innermost frame first; lookup scans outward like
-   the evaluators do. *)
-type env = (string * S.t) list list
+   value depends on.  Innermost frame first, each frame a map holding
+   the most recent binding of a name; lookup searches outward like the
+   evaluators do. *)
+type env = S.t SM.t list
 
-let lookup env name =
-  let rec go = function
-    | [] -> None
-    | frame :: rest -> (
-        match List.assoc_opt name frame with
-        | Some s -> Some s
-        | None -> go rest)
-  in
-  go env
+let lookup env name = List.find_map (SM.find_opt name) env
 
 let rec expr_deps env (e : Ir.expr) =
   match e with
@@ -65,12 +59,12 @@ let rec expr_deps env (e : Ir.expr) =
       (* a gather through a parallel-indexed table still varies per lane *)
       expr_deps env idx
 
-let bind frame name deps = (name, deps) :: frame
+let bind frame name deps = SM.add name deps frame
 
 (* [parallel] is the stack of enclosing parallel induction variables,
    outermost first.  [findings] accumulates in reverse source order. *)
 let rec check_stmts env ~parallel findings stmts =
-  let frame, outer = match env with f :: r -> (f, r) | [] -> ([], []) in
+  let frame, outer = match env with f :: r -> (f, r) | [] -> (SM.empty, []) in
   let _, findings =
     List.fold_left
       (fun (frame, findings) s ->
@@ -106,7 +100,7 @@ and check_store env ~parallel findings ~array ~idx ~label =
 
 and check_directive env ~parallel findings (d : Ir.loop_directive) =
   let deps = S.union (expr_deps env d.Ir.lo) (expr_deps env d.Ir.hi) in
-  let frame = bind [] d.Ir.loop_var (S.add d.Ir.loop_var deps) in
+  let frame = SM.singleton d.Ir.loop_var (S.add d.Ir.loop_var deps) in
   (* A statically single-trip directive assigns every lane the same
      (single) iteration, so its induction variable partitions nothing:
      stores need not depend on it.  This keeps the common trip-1 simd
@@ -122,8 +116,8 @@ and check_directive env ~parallel findings (d : Ir.loop_directive) =
   check_stmts (frame :: env) ~parallel findings d.Ir.body
 
 and check_stmt env ~parallel findings (s : Ir.stmt) :
-    (string * S.t) list * finding list =
-  let frame, outer = match env with f :: r -> (f, r) | [] -> ([], []) in
+    S.t SM.t * finding list =
+  let frame, outer = match env with f :: r -> (f, r) | [] -> (SM.empty, []) in
   match s with
   | Ir.Decl { name; init; _ } ->
       (bind frame name (expr_deps env init), findings)
@@ -140,14 +134,14 @@ and check_stmt env ~parallel findings (s : Ir.stmt) :
       (frame, findings)
   | Ir.Atomic_add _ -> (frame, findings) (* atomics never race *)
   | Ir.If (_, then_, else_) ->
-      let findings = check_stmts ([] :: env) ~parallel findings then_ in
-      let findings = check_stmts ([] :: env) ~parallel findings else_ in
+      let findings = check_stmts (SM.empty :: env) ~parallel findings then_ in
+      let findings = check_stmts (SM.empty :: env) ~parallel findings else_ in
       (frame, findings)
   | Ir.While (_, body) ->
-      (frame, check_stmts ([] :: env) ~parallel findings body)
+      (frame, check_stmts (SM.empty :: env) ~parallel findings body)
   | Ir.For { var; lo; hi; body } ->
       let deps = S.union (expr_deps env lo) (expr_deps env hi) in
-      let bframe = bind [] var deps in
+      let bframe = SM.singleton var deps in
       (frame, check_stmts (bframe :: env) ~parallel findings body)
   | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
       (frame, check_directive env ~parallel findings d)
@@ -161,17 +155,17 @@ and check_stmt env ~parallel findings (s : Ir.stmt) :
       (* one leader per SIMD group executes, but leaders of different
          groups, teams and blocks still run concurrently: the body is
          checked under the same parallel context *)
-      (frame, check_stmts ([] :: env) ~parallel findings body)
+      (frame, check_stmts (SM.empty :: env) ~parallel findings body)
   | Ir.Sync -> (frame, findings)
 
 let check_kernel (k : Ir.kernel) =
   (* scalar params are lane-invariant: empty dependence sets *)
   let frame =
-    List.filter_map
-      (fun (p : Ir.param) ->
+    List.fold_left
+      (fun frame (p : Ir.param) ->
         match p.Ir.pty with
-        | Ir.P_int | Ir.P_float -> Some (p.Ir.pname, S.empty)
-        | Ir.P_farray | Ir.P_iarray -> None)
-      k.Ir.params
+        | Ir.P_int | Ir.P_float -> bind frame p.Ir.pname S.empty
+        | Ir.P_farray | Ir.P_iarray -> frame)
+      SM.empty k.Ir.params
   in
   List.rev (check_stmts [ frame ] ~parallel:[] [] k.Ir.body)

@@ -174,6 +174,156 @@ let test_check_array_kind () =
     (mk_kernel [ Ir.Assign ("n", Ir.Unop (Ir.To_int, Ir.Load_int ("a", Ir.i 0))) ])
     "wrong element kind"
 
+(* --- Check scope diagnostics: the full ordered (where, what) list ------- *)
+
+let check_errors name expected k =
+  let got =
+    match Check.kernel k with
+    | Ok () -> []
+    | Error es -> List.map (fun (e : Check.error) -> (e.Check.where, e.Check.what)) es
+  in
+  Alcotest.(check (list (pair string string))) name expected got
+
+let in_region body =
+  mk_kernel [ Ir.distribute_parallel_for ~var:"r" ~lo:(Ir.i 0) ~hi:(Ir.v "n") body ]
+
+let decl name ty init = Ir.Decl { name; ty; init }
+
+let test_check_duplicate_decl () =
+  check_errors "same scope"
+    [ ("decl x", "duplicate declaration") ]
+    (mk_kernel [ decl "x" Ir.Tint (Ir.i 0); decl "x" Ir.Tint (Ir.i 1) ]);
+  (* a nested frame starts a fresh scope: no duplicate *)
+  check_errors "nested scope" []
+    (mk_kernel
+       [
+         decl "x" Ir.Tint (Ir.i 0);
+         Ir.If (Ir.i 1, [ decl "x" Ir.Tint (Ir.i 1) ], [ decl "x" Ir.Tint (Ir.i 2) ]);
+       ])
+
+let test_check_shadows_param () =
+  check_errors "param shadow, then duplicate"
+    [
+      ("decl n", "shadows a parameter");
+      ("decl n", "duplicate declaration");
+      ("decl n", "shadows a parameter");
+    ]
+    (mk_kernel [ decl "n" Ir.Tint (Ir.i 0); decl "n" Ir.Tint (Ir.i 1) ])
+
+let test_check_duplicate_param () =
+  let k =
+    Ir.kernel ~name:"t"
+      ~params:
+        [
+          { Ir.pname = "a"; pty = Ir.P_farray };
+          { Ir.pname = "n"; pty = Ir.P_int };
+          { Ir.pname = "n"; pty = Ir.P_float };
+        ]
+      [ Ir.Store ("a", Ir.v "n", Ir.f 0.0); decl "n" Ir.Tint (Ir.i 0) ]
+  in
+  (* parameter errors come first; the first [n] types the scalar use *)
+  check_errors "duplicate param"
+    [ ("n", "duplicate parameter"); ("decl n", "shadows a parameter") ]
+    k
+
+let test_check_guard_assigns_outer () =
+  let what =
+    "guarded block assigns an outer local (declare and broadcast instead)"
+  in
+  (* the outer-locals snapshot is taken per guarded statement, so the
+     guard's own earlier declarations count as outer for later ones *)
+  check_errors "guard assigns outer"
+    [ ("assign g", what); ("assign acc", what) ]
+    (in_region
+       [
+         decl "acc" Ir.Tfloat (Ir.f 0.0);
+         Ir.Guarded [ decl "g" Ir.Tfloat (Ir.f 1.0); Ir.Assign ("g", Ir.f 2.0) ];
+         Ir.Guarded [ Ir.Assign ("acc", Ir.f 1.0) ];
+       ])
+
+let test_check_barrier_inside_simd () =
+  check_errors "sync in simd and guard"
+    [ ("sync", "barrier inside simd"); ("sync", "barrier inside simd") ]
+    (in_region
+       [
+         Ir.Sync;
+         Ir.simd ~var:"j" ~lo:(Ir.i 0) ~hi:(Ir.i 4) [ Ir.Sync ];
+         Ir.Guarded [ Ir.Sync ];
+       ])
+
+let test_check_shadow_other_type () =
+  (* the inner float [x] types uses inside the loop; the outer int [x]
+     is back in scope after it *)
+  check_errors "inner shadow"
+    [
+      ("store a", "index of a is not an int");
+      ("store a", "wrong type");
+    ]
+    (in_region
+       [
+         decl "x" Ir.Tint (Ir.i 0);
+         Ir.For
+           {
+             var = "k";
+             lo = Ir.i 0;
+             hi = Ir.i 2;
+             body =
+               [
+                 decl "x" Ir.Tfloat (Ir.f 1.0);
+                 Ir.Store ("a", Ir.v "k", Ir.v "x");
+                 Ir.Store ("a", Ir.v "x", Ir.f 0.0);
+               ];
+           };
+         Ir.Store ("a", Ir.v "x", Ir.f 0.0);
+         Ir.Store ("a", Ir.i 0, Ir.v "x");
+       ]);
+  (* a simd body that redeclares a captured name still may not assign it *)
+  check_errors "simd redeclares captured"
+    [
+      ( "assign acc",
+        "simd body assigns a captured scalar (sharing is one-directional)" );
+    ]
+    (in_region
+       [
+         decl "acc" Ir.Tfloat (Ir.f 0.0);
+         Ir.simd ~var:"j" ~lo:(Ir.i 0) ~hi:(Ir.i 4)
+           [ decl "acc" Ir.Tfloat (Ir.f 1.0); Ir.Assign ("acc", Ir.f 2.0) ];
+       ])
+
+let test_check_simd_sum_first_decl_wins () =
+  let sum body =
+    in_region
+      [
+        decl "acc" Ir.Tfloat (Ir.f 0.0);
+        Ir.simd_sum ~acc:"acc" ~var:"j" ~lo:(Ir.i 0) ~hi:(Ir.i 4) ~value:(Ir.v "t")
+          body;
+      ]
+  in
+  check_errors "float first"
+    [ ("decl t", "duplicate declaration") ]
+    (sum [ decl "t" Ir.Tfloat (Ir.f 1.0); decl "t" Ir.Tint (Ir.i 2) ]);
+  check_errors "int first"
+    [ ("decl t", "duplicate declaration"); ("simd reduction acc", "wrong type") ]
+    (sum [ decl "t" Ir.Tint (Ir.i 2); decl "t" Ir.Tfloat (Ir.f 1.0) ])
+
+let test_check_guard_scope_transparent () =
+  (* guarded decls extend the enclosing scope *)
+  check_errors "visible after" []
+    (in_region
+       [
+         Ir.Guarded [ decl "g" Ir.Tint (Ir.i 1) ];
+         Ir.Store ("a", Ir.v "g", Ir.f 0.0);
+       ]);
+  check_errors "duplicates across the guard"
+    [ ("decl g", "duplicate declaration"); ("decl x", "duplicate declaration") ]
+    (in_region
+       [
+         decl "x" Ir.Tint (Ir.i 0);
+         Ir.Guarded [ decl "g" Ir.Tint (Ir.i 1) ];
+         decl "g" Ir.Tint (Ir.i 2);
+         Ir.Guarded [ decl "x" Ir.Tint (Ir.i 3) ];
+       ])
+
 (* --- free_vars / outline ------------------------------------------------ *)
 
 let test_free_vars () =
@@ -933,6 +1083,45 @@ let test_dce () =
       | body -> Alcotest.failf "dce left %d stmts" (List.length body))
   | _ -> Alcotest.fail "dce kernel shape"
 
+(* Writes that are read only outside the nested body that makes them
+   stay: an assignment to an outer local in an [If] branch, and a
+   guarded declaration read after the guard. *)
+let test_dce_keeps_outer_writes () =
+  let region body =
+    mk_kernel [ Ir.distribute_parallel_for ~var:"r" ~lo:(Ir.i 0) ~hi:(Ir.v "n") body ]
+  in
+  let k =
+    region
+      [
+        Ir.Decl { name = "y"; ty = Ir.Tfloat; init = Ir.f 0.0 };
+        Ir.If (Ir.(v "r" < i 2), [ Ir.Assign ("y", Ir.f 1.0) ], []);
+        Ir.Guarded
+          [
+            Ir.Decl { name = "g"; ty = Ir.Tfloat; init = Ir.f 2.0 };
+            Ir.Decl { name = "unread"; ty = Ir.Tfloat; init = Ir.f 3.0 };
+          ];
+        Ir.If (Ir.i 1, [ Ir.Decl { name = "local"; ty = Ir.Tint; init = Ir.i 4 } ], []);
+        Ir.simd ~var:"j" ~lo:(Ir.i 0) ~hi:(Ir.i 1)
+          [ Ir.Store ("a", Ir.v "r", Ir.(v "y" + v "g")) ];
+      ]
+  in
+  let expected =
+    region
+      [
+        Ir.Decl { name = "y"; ty = Ir.Tfloat; init = Ir.f 0.0 };
+        Ir.If (Ir.(v "r" < i 2), [ Ir.Assign ("y", Ir.f 1.0) ], []);
+        Ir.Guarded [ Ir.Decl { name = "g"; ty = Ir.Tfloat; init = Ir.f 2.0 } ];
+        Ir.If (Ir.i 1, [], []);
+        Ir.simd ~var:"j" ~lo:(Ir.i 0) ~hi:(Ir.i 1)
+          [ Ir.Store ("a", Ir.v "r", Ir.(v "y" + v "g")) ];
+      ]
+  in
+  check_bool "outer writes kept, dead ones dropped" true
+    (Passes.dce.Passes.transform k = expected);
+  check_bool "default pipeline still checks" true
+    (Result.is_ok
+       (Passes.run_verified (Passes.pipeline_of_spec "") k))
+
 let test_unroll () =
   let k =
     mk_kernel
@@ -1210,6 +1399,18 @@ let suite =
           test_check_simd_captured_assign;
         Alcotest.test_case "loop var assign" `Quick test_check_loop_var_assign;
         Alcotest.test_case "array kind" `Quick test_check_array_kind;
+        Alcotest.test_case "duplicate declaration" `Quick test_check_duplicate_decl;
+        Alcotest.test_case "shadows a parameter" `Quick test_check_shadows_param;
+        Alcotest.test_case "duplicate parameter" `Quick test_check_duplicate_param;
+        Alcotest.test_case "guard assigns outer local" `Quick
+          test_check_guard_assigns_outer;
+        Alcotest.test_case "barrier inside simd" `Quick test_check_barrier_inside_simd;
+        Alcotest.test_case "shadow with another type" `Quick
+          test_check_shadow_other_type;
+        Alcotest.test_case "simd reduction first decl wins" `Quick
+          test_check_simd_sum_first_decl_wins;
+        Alcotest.test_case "guard scope transparent" `Quick
+          test_check_guard_scope_transparent;
       ] );
     ( "ompir.outline",
       [
@@ -1270,6 +1471,8 @@ let suite =
         Alcotest.test_case "substitution" `Quick test_subst;
         Alcotest.test_case "subst shadowing" `Quick test_subst_shadowing_decl;
         Alcotest.test_case "dce" `Quick test_dce;
+        Alcotest.test_case "dce keeps outer writes" `Quick
+          test_dce_keeps_outer_writes;
         Alcotest.test_case "unroll" `Quick test_unroll;
         Alcotest.test_case "unroll guards" `Quick
           test_unroll_skips_atomics_and_big_trips;
