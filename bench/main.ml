@@ -11,8 +11,12 @@
    host-side cost of regenerating it at a reduced scale — the number a
    developer watches when optimizing the simulator.
 
-   Block simulation fans out over OMPSIMD_DOMAINS host domains (0 =
-   sequential; unset = cores - 1, which also caps explicit requests),
+   The bench builds its settings explicitly: of the library's OMPSIMD_*
+   knobs it reads only the three it varies (see [settings] below), so
+   no other inherited knob can reshape a row.  Block simulation fans
+   out over OMPSIMD_DOMAINS host domains (0 = sequential; unset =
+   cores - 1, which also caps explicit requests), OMPSIMD_EVAL and
+   OMPSIMD_PASSES select the engine and pipeline of the serve rows,
    and OMPSIMD_BENCH_DEDUP=0 disables
    the homogeneous-grid dedup fast path on the uniform Fig 9 kernels
    (default on); the reports are bit-identical under every combination.
@@ -27,6 +31,17 @@ open Toolkit
 
 (* Knob reads go through Ompsimd_util.Env: blank values mean unset. *)
 module Env = Ompsimd_util.Env
+
+(* The library knobs the bench varies: pool width, engine and pass
+   pipeline.  Every other OMPSIMD_* knob keeps its default whatever the
+   environment holds — the sanitizer and fault injection stay off (the
+   "serve faulty" row arms its own plan), so the rows measure the
+   production path and double as the proof that the disarmed hooks
+   cost nothing. *)
+let settings =
+  let varied = [ "OMPSIMD_DOMAINS"; "OMPSIMD_EVAL"; "OMPSIMD_PASSES" ] in
+  Settings.of_lookup (fun name ->
+      if List.mem name varied then Sys.getenv_opt name else None)
 
 let device () =
   match Env.var "OMPSIMD_BENCH_DEVICE" with
@@ -45,36 +60,36 @@ let dedup () =
   | Some "0" -> false
   | Some _ | None -> true
 
-let print_experiments ~pool () =
+let print_experiments ~pool ~run () =
   let cfg = device () in
   let scale = scale () in
   Printf.printf "device: %s, scale: %.2f, domains: %d, dedup: %b\n\n%!"
     cfg.Gpusim.Config.name scale (Gpusim.Pool.size pool) (dedup ());
   Experiments.Fig9.print
-    (Experiments.Fig9.run ~scale ~pool ~dedup:(dedup ()) ~cfg ());
+    (Experiments.Fig9.run ~scale ~run ~dedup:(dedup ()) ~cfg ());
   print_newline ();
-  Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());
+  Experiments.Fig10.print (Experiments.Fig10.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Sharing_ablation.print
-    (Experiments.Sharing_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Sharing_ablation.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Dispatch_ablation.print
-    (Experiments.Dispatch_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Dispatch_ablation.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Amd_mode.print
-    (Experiments.Amd_mode.run ~scale:(scale /. 4.) ~pool ());
+    (Experiments.Amd_mode.run ~scale:(scale /. 4.) ~run ());
   print_newline ();
   Experiments.Reduction_ablation.print
-    (Experiments.Reduction_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Reduction_ablation.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Teams_mode_ablation.print
-    (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Teams_mode_ablation.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Spmdization_ablation.print
-    (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Spmdization_ablation.run ~scale ~run ~cfg ());
   print_newline ();
   Experiments.Schedule_ablation.print
-    (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ())
+    (Experiments.Schedule_ablation.run ~scale ~run ~cfg ())
 
 (* --- Bechamel: host cost of regenerating each experiment -------------- *)
 
@@ -113,46 +128,46 @@ let serve_conf ~cache =
     breaker = 4;
     slo = None;
     window = 20_000.0;
-    knobs = Openmp.Offload.default_knobs;
+    knobs = settings.Settings.knobs;
   }
 
 (* Each case is a named thunk: Bechamel stages it for the ms/run
    estimate, and the allocation probe below calls it directly for the
    minor-GC bytes per run. *)
-let bench_cases ~pool () =
+let bench_cases ~pool ~run () =
   let cfg = Gpusim.Config.small in
   let s = 0.25 in
   [
     ( "fig9 (E1)",
       fun () ->
-        ignore (Experiments.Fig9.run ~scale:s ~pool ~dedup:(dedup ()) ~cfg ()) );
+        ignore (Experiments.Fig9.run ~scale:s ~run ~dedup:(dedup ()) ~cfg ()) );
     ( "fig10 (E2)",
-      fun () -> ignore (Experiments.Fig10.run ~scale:s ~pool ~cfg ()) );
+      fun () -> ignore (Experiments.Fig10.run ~scale:s ~run ~cfg ()) );
     ( "sharing ablation (E3)",
-      fun () -> ignore (Experiments.Sharing_ablation.run ~scale:s ~pool ~cfg ()) );
+      fun () -> ignore (Experiments.Sharing_ablation.run ~scale:s ~run ~cfg ()) );
     ( "dispatch ablation (E4)",
       fun () ->
-        ignore (Experiments.Dispatch_ablation.run ~scale:s ~pool ~cfg ()) );
+        ignore (Experiments.Dispatch_ablation.run ~scale:s ~run ~cfg ()) );
     ( "amd mode (E5)",
-      fun () -> ignore (Experiments.Amd_mode.run ~scale:0.02 ~pool ()) );
+      fun () -> ignore (Experiments.Amd_mode.run ~scale:0.02 ~run ()) );
     ( "reduction ablation (E6)",
       fun () ->
-        ignore (Experiments.Reduction_ablation.run ~scale:s ~pool ~cfg ()) );
+        ignore (Experiments.Reduction_ablation.run ~scale:s ~run ~cfg ()) );
     ( "teams-mode ablation (E7)",
       fun () ->
-        ignore (Experiments.Teams_mode_ablation.run ~scale:s ~pool ~cfg ()) );
+        ignore (Experiments.Teams_mode_ablation.run ~scale:s ~run ~cfg ()) );
     ( "spmdization ablation (E8)",
       fun () ->
-        ignore (Experiments.Spmdization_ablation.run ~scale:s ~pool ~cfg ()) );
+        ignore (Experiments.Spmdization_ablation.run ~scale:s ~run ~cfg ()) );
     ( "schedule ablation (E9)",
       fun () ->
-        ignore (Experiments.Schedule_ablation.run ~scale:0.1 ~pool ~cfg ()) );
+        ignore (Experiments.Schedule_ablation.run ~scale:0.1 ~run ~cfg ()) );
     ( "serve warm cache",
       fun () ->
-        ignore (Serve.Scheduler.run (serve_conf ~cache:32) ~pool serve_trace) );
+        ignore (Serve.Scheduler.run (serve_conf ~cache:32) ~run serve_trace) );
     ( "serve cold cache",
       fun () ->
-        ignore (Serve.Scheduler.run (serve_conf ~cache:0) ~pool serve_trace) );
+        ignore (Serve.Scheduler.run (serve_conf ~cache:0) ~run serve_trace) );
     (* the same warm-cache trace through the sharded fleet: batching
        merges same-content queue mates into one grid and the content
        memo skips repeat launches entirely, so the delta against "serve
@@ -176,7 +191,7 @@ let bench_cases ~pool () =
             decay = 0;
           }
         in
-        ignore (Serve.Fleet.run fconf ~pool serve_trace) );
+        ignore (Serve.Fleet.run fconf ~run serve_trace) );
     (* the same trace over four shards carrying four different zoo
        devices with affinity placement on: the delta against the
        homogeneous fleet row is the price of heterogeneity — per-device
@@ -192,7 +207,7 @@ let bench_cases ~pool () =
             steal = true;
             memo = true;
             tenants = [];
-            devices = Serve.Fleet.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny";
+            devices = Settings.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny";
             affinity = true;
             telemetry = false;
             shed = true;
@@ -200,7 +215,7 @@ let bench_cases ~pool () =
             decay = 0;
           }
         in
-        ignore (Serve.Fleet.run fconf ~pool serve_trace) );
+        ignore (Serve.Fleet.run fconf ~run serve_trace) );
     (* the warm fleet trace under an SLO: telemetry windows close on
        every boundary, the autoscaler evaluates each one, and SLO
        admission watches the windowed p99 — the delta against "serve
@@ -232,7 +247,7 @@ let bench_cases ~pool () =
             decay = 2;
           }
         in
-        ignore (Serve.Fleet.run fconf ~pool serve_trace) );
+        ignore (Serve.Fleet.run fconf ~run serve_trace) );
     (* the warm-cache trace compiled through an explicit non-default
        optimization pipeline: the spec lands in the cache key, so the
        first request per kernel recompiles the optimized tier-2 variant
@@ -246,28 +261,24 @@ let bench_cases ~pool () =
             conf with
             Serve.Scheduler.knobs =
               {
-                Openmp.Offload.default_knobs with
+                settings.Settings.knobs with
                 Openmp.Offload.passes = "fold,licm,strength,fuse,tile:32,dce";
               };
           }
         in
-        ignore (Serve.Scheduler.run conf ~pool serve_trace) );
+        ignore (Serve.Scheduler.run conf ~run serve_trace) );
     (* the same warm-cache trace under a 5% per-block abort plan: the
        delta against "serve warm cache" is the recovery overhead
        (relaunch work + backoff bookkeeping) the service pays for fault
        tolerance *)
     ( "serve faulty (5% aborts)",
       fun () ->
-        Unix.putenv "OMPSIMD_FAULTS" "abort=0.05";
-        Unix.putenv "OMPSIMD_FAULT_SEED" "7";
-        Fun.protect
-          ~finally:(fun () ->
-            Unix.putenv "OMPSIMD_FAULTS" "";
-            Unix.putenv "OMPSIMD_FAULT_SEED" "";
-            Gpusim.Fault.refresh_from_env ())
-          (fun () ->
-            ignore
-              (Serve.Scheduler.run (serve_conf ~cache:32) ~pool serve_trace)) );
+        let run =
+          Gpusim.Run.make ~pool
+            ~faults:(Gpusim.Fault.parse_spec ~seed:7 "abort=0.05")
+            ()
+        in
+        ignore (Serve.Scheduler.run (serve_conf ~cache:32) ~run serve_trace) );
   ]
 
 (* Minor-GC bytes one run of the case allocates (majors excluded: the
@@ -316,14 +327,14 @@ let write_json ~pool path estimates allocs =
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-let run_bechamel ~pool () =
+let run_bechamel ~pool ~run () =
   print_endline "Bechamel: host milliseconds to regenerate each experiment";
   Printf.printf "(reduced scale, sim-small device, %d domains, dedup %b)\n"
     (Gpusim.Pool.size pool) (dedup ());
   let benchmark_cfg =
     Benchmark.cfg ~limit:50 ~quota:(Time.second (quota ())) ~kde:None ()
   in
-  let cases = bench_cases ~pool () in
+  let cases = bench_cases ~pool ~run () in
   let estimates =
     List.map
       (fun (case_name, fn) ->
@@ -367,7 +378,8 @@ let run_bechamel ~pool () =
   | None -> ()
 
 let () =
-  let pool = Gpusim.Pool.get_default () in
-  print_experiments ~pool ();
+  let pool = Gpusim.Pool.create ~domains:settings.Settings.domains () in
+  let run = Settings.run ~pool settings in
+  print_experiments ~pool ~run ();
   print_newline ();
-  run_bechamel ~pool ()
+  run_bechamel ~pool ~run ()

@@ -20,28 +20,32 @@ let scale_term =
   let doc = "Problem-size multiplier (use < 1.0 for quick runs)." in
   Arg.(value & opt float 1.0 & info [ "scale"; "s" ] ~docv:"SCALE" ~doc)
 
-(* The single place every subcommand reads its environment: arming the
-   sanitizer (workload subcommands launch on the device directly,
-   without going through Offload.run, so OMPSIMD_SANITIZE must be
-   honored here) and sizing the OMPSIMD_DOMAINS block-simulation pool
-   (bit-identical reports either way, see DESIGN.md).  New knob
-   families plug in here — `serve` reads its OMPSIMD_SERVE_* scheduler
-   knobs through {!Serve.Scheduler.config_of_env} from the same spot. *)
-let refresh_env_and_pool () =
-  Gpusim.Ompsan.refresh_from_env ();
-  Gpusim.Fault.refresh_from_env ();
-  Gpusim.Pool.get_default ()
+(* The single place the CLI reads its environment: every OMPSIMD_*
+   knob is parsed here, once, at startup ({!Settings.of_env}), and a
+   malformed value exits naming the knob.  Below this point the
+   settings travel as values: the launch settings (block-simulation
+   pool sized by OMPSIMD_DOMAINS, fault plan, watchdog, sanitizer) as
+   a [Gpusim.Run.t], the compile knobs and service configs as records. *)
+let settings () =
+  try Settings.of_env ()
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
+
+let launch_run s =
+  Settings.run ~pool:(Gpusim.Pool.create ~domains:s.Settings.domains ()) s
 
 let with_device name f =
+  let s = settings () in
   let resolved =
-    if String.trim name = "" then Gpusim.Zoo.of_env ()
+    if String.trim name = "" then Ok s.Settings.device
     else Gpusim.Zoo.resolve name
   in
   match resolved with
   | Error msg ->
       prerr_endline msg;
       exit 2
-  | Ok cfg -> f cfg (refresh_env_and_pool ())
+  | Ok cfg -> f s cfg (launch_run s)
 
 let csv_term =
   let doc = "Also write the series as CSV to this file." in
@@ -59,8 +63,8 @@ let write_csv path contents =
 
 let fig9_cmd =
   let run device scale csv =
-    with_device device (fun cfg pool ->
-        let r = Experiments.Fig9.run ~scale ~pool ~cfg () in
+    with_device device (fun _ cfg run ->
+        let r = Experiments.Fig9.run ~scale ~run ~cfg () in
         Experiments.Fig9.print r;
         write_csv csv (Experiments.Fig9.to_csv r))
   in
@@ -70,8 +74,8 @@ let fig9_cmd =
 
 let fig10_cmd =
   let run device scale csv =
-    with_device device (fun cfg pool ->
-        let r = Experiments.Fig10.run ~scale ~pool ~cfg () in
+    with_device device (fun _ cfg run ->
+        let r = Experiments.Fig10.run ~scale ~run ~cfg () in
         Experiments.Fig10.print r;
         write_csv csv (Experiments.Fig10.to_csv r))
   in
@@ -81,9 +85,9 @@ let fig10_cmd =
 
 let sharing_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Sharing_ablation.print
-          (Experiments.Sharing_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Sharing_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "sharing" ~doc:"E3: sharing-space sizing ablation (S5.3.1)")
@@ -91,9 +95,9 @@ let sharing_cmd =
 
 let dispatch_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Dispatch_ablation.print
-          (Experiments.Dispatch_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Dispatch_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "dispatch" ~doc:"E4: if-cascade vs indirect dispatch (S5.5)")
@@ -101,8 +105,8 @@ let dispatch_cmd =
 
 let amd_cmd =
   let run scale =
-    let pool = refresh_env_and_pool () in
-    Experiments.Amd_mode.print (Experiments.Amd_mode.run ~scale ~pool ())
+    let run = launch_run (settings ()) in
+    Experiments.Amd_mode.print (Experiments.Amd_mode.run ~scale ~run ())
   in
   Cmd.v
     (Cmd.info "amd" ~doc:"E5: AMD wavefront-barrier gap (S5.4.1)")
@@ -110,9 +114,9 @@ let amd_cmd =
 
 let reduction_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Reduction_ablation.print
-          (Experiments.Reduction_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Reduction_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "reduction" ~doc:"E6: simd reduction vs atomic update (S7)")
@@ -120,9 +124,9 @@ let reduction_cmd =
 
 let teams_mode_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Teams_mode_ablation.print
-          (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Teams_mode_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "teamsmode" ~doc:"E7: teams generic vs SPMD occupancy cost")
@@ -130,9 +134,9 @@ let teams_mode_cmd =
 
 let spmdize_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Spmdization_ablation.print
-          (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Spmdization_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "spmdize"
@@ -141,9 +145,9 @@ let spmdize_cmd =
 
 let schedule_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         Experiments.Schedule_ablation.print
-          (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Schedule_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"E9: loop schedules under row imbalance")
@@ -169,7 +173,7 @@ let kernel_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let run device scale kernel mode simdlen trace_path =
-    with_device device (fun cfg pool ->
+    with_device device (fun _ cfg run ->
         let module H = Workloads.Harness in
         let mode3 =
           match mode with
@@ -191,12 +195,12 @@ let kernel_cmd =
                   { Workloads.Spmv.default_shape with
                     Workloads.Spmv.rows = sc 8192; cols = sc 8192 }
               in
-              let r = Workloads.Spmv.run_simd ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Spmv.run_simd ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Spmv.verify t r.H.output);
               r
           | "su3" ->
               let t = Workloads.Su3.generate { Workloads.Su3.sites = sc 8192; seed = 2 } in
-              let r = Workloads.Su3.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Su3.run ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Su3.verify t r.H.output);
               r
           | "ideal" ->
@@ -204,12 +208,12 @@ let kernel_cmd =
                 Workloads.Ideal.generate
                   { Workloads.Ideal.default_shape with Workloads.Ideal.rows = sc 4096 }
               in
-              let r = Workloads.Ideal.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Ideal.run ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Ideal.verify t r.H.output);
               r
           | "laplace3d" ->
               let t = Workloads.Laplace3d.generate { Workloads.Laplace3d.n = sc 50; seed = 4 } in
-              let r = Workloads.Laplace3d.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Laplace3d.run ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Laplace3d.verify t r.H.output);
               r
           | "transpose" ->
@@ -217,7 +221,7 @@ let kernel_cmd =
                 Workloads.Muram.generate
                   { Workloads.Muram.ni = sc 48; nj = sc 48; nk = 48; seed = 5 }
               in
-              let r = Workloads.Muram.run_transpose ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Muram.run_transpose ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Muram.verify_transpose t r.H.output);
               r
           | "interpol" ->
@@ -225,7 +229,7 @@ let kernel_cmd =
                 Workloads.Muram.generate
                   { Workloads.Muram.ni = sc 48; nj = sc 48; nk = 48; seed = 5 }
               in
-              let r = Workloads.Muram.run_interpol ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
+              let r = Workloads.Muram.run_interpol ~cfg ~run ?trace ~num_teams:teams ~threads:128 ~mode3 t in
               H.check_or_fail (Workloads.Muram.verify_interpol t r.H.output);
               r
           | other ->
@@ -270,9 +274,15 @@ let compile_cmd =
         Printf.eprintf "%s:%d: syntax error: %s\n" file line message;
         exit 1
     | kernel -> (
-        match
-          Openmp.Offload.compile ~guardize ~fold:(not no_fold) ~racecheck kernel
-        with
+        let knobs =
+          {
+            (settings ()).Settings.knobs with
+            Openmp.Offload.guardize;
+            fold = not no_fold;
+            racecheck;
+          }
+        in
+        match Openmp.Offload.compile_with ~knobs kernel with
         | Error es ->
             List.iter
               (fun e -> Format.eprintf "%s: error: %a@." file Ompir.Check.pp_error e)
@@ -300,7 +310,7 @@ let info_cmd =
   let run device zoo =
     if zoo then Format.printf "%a@." Gpusim.Zoo.pp_table ()
     else
-      with_device device (fun cfg _pool ->
+      with_device device (fun _ cfg _ ->
           Format.printf "%a@.spec: %s@." Gpusim.Config.pp cfg
             (Gpusim.Config.to_spec cfg))
   in
@@ -332,8 +342,8 @@ let sweep_cmd =
                        (String.trim n);
                      exit 2)
     in
-    let pool = refresh_env_and_pool () in
-    let r = Experiments.Zoo_sweep.run ~scale ~pool ~entries () in
+    let run = launch_run (settings ()) in
+    let r = Experiments.Zoo_sweep.run ~scale ~run ~entries () in
     Experiments.Zoo_sweep.print r;
     write_csv csv (Experiments.Zoo_sweep.to_csv r)
   in
@@ -346,30 +356,30 @@ let sweep_cmd =
 
 let all_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
-        Experiments.Fig9.print (Experiments.Fig9.run ~scale ~pool ~cfg ());
+    with_device device (fun _ cfg run ->
+        Experiments.Fig9.print (Experiments.Fig9.run ~scale ~run ~cfg ());
         print_newline ();
-        Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());
+        Experiments.Fig10.print (Experiments.Fig10.run ~scale ~run ~cfg ());
         print_newline ();
         Experiments.Sharing_ablation.print
-          (Experiments.Sharing_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Sharing_ablation.run ~scale ~run ~cfg ());
         print_newline ();
         Experiments.Dispatch_ablation.print
-          (Experiments.Dispatch_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Dispatch_ablation.run ~scale ~run ~cfg ());
         print_newline ();
-        Experiments.Amd_mode.print (Experiments.Amd_mode.run ~scale ~pool ());
+        Experiments.Amd_mode.print (Experiments.Amd_mode.run ~scale ~run ());
         print_newline ();
         Experiments.Reduction_ablation.print
-          (Experiments.Reduction_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Reduction_ablation.run ~scale ~run ~cfg ());
         print_newline ();
         Experiments.Teams_mode_ablation.print
-          (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Teams_mode_ablation.run ~scale ~run ~cfg ());
         print_newline ();
         Experiments.Spmdization_ablation.print
-          (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Spmdization_ablation.run ~scale ~run ~cfg ());
         print_newline ();
         Experiments.Schedule_ablation.print
-          (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Schedule_ablation.run ~scale ~run ~cfg ()))
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment in EXPERIMENTS.md")
@@ -466,7 +476,7 @@ let serve_cmd =
   in
   let run device requests synthetic seed gap traffic profile shards batch
       json_path results_path telemetry_path slo_ms =
-    with_device device (fun cfg pool ->
+    with_device device (fun s cfg run ->
         let specs =
           match (requests, synthetic, traffic) with
           | Some file, None, None -> (
@@ -502,15 +512,10 @@ let serve_cmd =
         let fleet_mode =
           shards <> None || batch <> None || traffic <> None
           || telemetry_path <> None
-          || Ompsimd_util.Env.var "OMPSIMD_SERVE_SHARDS" <> None
+          || s.Settings.shards <> None
         in
         if fleet_mode then begin
-          let fconf =
-            try Serve.Fleet.config_of_env ~cfg ()
-            with Invalid_argument msg ->
-              Printf.eprintf "serve: %s\n" msg;
-              exit 2
-          in
+          let fconf = Settings.fleet s ~cfg in
           let fconf =
             {
               fconf with
@@ -536,14 +541,13 @@ let serve_cmd =
                   fconf with
                   Serve.Fleet.base = base;
                   autoscale =
-                    Serve.Autoscale.config_of_env
-                      ~slo:base.Serve.Scheduler.slo
+                    Settings.autoscale s ~slo:base.Serve.Scheduler.slo
                       ~shards:fconf.Serve.Fleet.shards
-                      ~servers:base.Serve.Scheduler.servers ();
+                      ~servers:base.Serve.Scheduler.servers;
                 }
           in
           let res =
-            try Serve.Fleet.run fconf ~pool specs
+            try Serve.Fleet.run fconf ~run specs
             with Invalid_argument msg ->
               Printf.eprintf "serve: %s\n" msg;
               exit 2
@@ -568,17 +572,17 @@ let serve_cmd =
             (fun path -> write path res.Serve.Fleet.telemetry "telemetry")
             (match telemetry_path with
             | Some p -> Some p
-            | None -> Ompsimd_util.Env.var "OMPSIMD_SERVE_TELEMETRY")
+            | None -> s.Settings.telemetry)
         end
         else begin
-          let conf = Serve.Scheduler.config_of_env ~cfg () in
+          let conf = Settings.service s ~cfg in
           let conf =
             match slo_ms with
             | None -> conf
             | Some ms ->
                 { conf with Serve.Scheduler.slo = Some (ms *. 1000.0) }
           in
-          let reports, metrics = Serve.Scheduler.run conf ~pool specs in
+          let reports, metrics = Serve.Scheduler.run conf ~run specs in
           List.iter
             (fun r -> print_endline (Serve.Scheduler.report_line r))
             reports;

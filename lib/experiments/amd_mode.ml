@@ -16,7 +16,7 @@ type t = { rows : row list }
 
 let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
-let spmv_rows ?pool ~scale cfg =
+let spmv_rows ?run ~scale cfg =
   let shape =
     {
       Spmv.default_shape with
@@ -27,12 +27,12 @@ let spmv_rows ?pool ~scale cfg =
   let t = Spmv.generate shape in
   let num_teams = min 256 shape.Spmv.rows in
   let baseline =
-    Harness.time (Spmv.run_two_level ~cfg ?pool ~num_teams ~threads:32 t)
+    Harness.time (Spmv.run_two_level ~cfg ?run ~num_teams ~threads:32 t)
   in
   List.map
     (fun (mode_name, mk) ->
       let r =
-        Spmv.run_simd ~cfg ?pool ~num_teams:(num_teams / 2) ~threads:128
+        Spmv.run_simd ~cfg ?run ~num_teams:(num_teams / 2) ~threads:128
           ~mode3:(mk ~group_size:8) t
       in
       {
@@ -44,18 +44,18 @@ let spmv_rows ?pool ~scale cfg =
       })
     [ ("generic-SIMD", Harness.generic_simd); ("SPMD-SIMD", Harness.spmd_simd) ]
 
-let ideal_rows ?pool ~scale cfg =
+let ideal_rows ?run ~scale cfg =
   let t =
     Ideal.generate { Ideal.default_shape with Ideal.rows = scaled scale 8192 }
   in
   let num_teams = scaled scale 128 in
   let baseline =
-    Harness.time (Ideal.run_two_level ~cfg ?pool ~num_teams ~threads:128 t)
+    Harness.time (Ideal.run_two_level ~cfg ?run ~num_teams ~threads:128 t)
   in
   List.map
     (fun (mode_name, mk) ->
       let r =
-        Ideal.run ~cfg ?pool ~num_teams ~threads:128 ~mode3:(mk ~group_size:32) t
+        Ideal.run ~cfg ?run ~num_teams ~threads:128 ~mode3:(mk ~group_size:32) t
       in
       {
         kernel = "ideal_kernel";
@@ -66,10 +66,10 @@ let ideal_rows ?pool ~scale cfg =
       })
     [ ("generic-SIMD", Harness.generic_simd); ("SPMD-SIMD", Harness.spmd_simd) ]
 
-let run ?(scale = 1.0) ?pool () =
+let run ?(scale = 1.0) ?run () =
   let rows =
     List.concat_map
-      (fun cfg -> spmv_rows ?pool ~scale cfg @ ideal_rows ?pool ~scale cfg)
+      (fun cfg -> spmv_rows ?run ~scale cfg @ ideal_rows ?run ~scale cfg)
       [ Config.a100; Config.amd_like ]
   in
   { rows }

@@ -18,6 +18,6 @@ type row = {
 
 type t = { rows : row list }
 
-val run : ?scale:float -> ?pool:Gpusim.Pool.t -> unit -> t
+val run : ?scale:float -> ?run:Gpusim.Run.t -> unit -> t
 val to_table : t -> Ompsimd_util.Table.t
 val print : t -> unit

@@ -9,7 +9,7 @@ module Target = Omprt.Target
 type row = { table_size : int; fn_id : int; cycles : float }
 type t = { rows : row list }
 
-let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
+let run_one ~run ~cfg ~scale ~table_size ~fn_id =
   let num_teams = max 1 (int_of_float (64.0 *. scale)) in
   let threads = 128 in
   let regions = max 1 (int_of_float (float_of_int (threads * 8) *. scale)) in
@@ -22,7 +22,7 @@ let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
     }
   in
   let report =
-    Target.launch ~cfg ?pool ~params ~dispatch_table_size:table_size (fun ctx ->
+    Target.launch ~cfg ?run ~params ~dispatch_table_size:table_size (fun ctx ->
         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~fn_id:0
           (fun ctx _ ->
             (* many tiny simd regions: dispatch dominates *)
@@ -32,7 +32,7 @@ let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
   in
   { table_size; fn_id; cycles = report.Gpusim.Device.time_cycles }
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?run ~cfg () =
   let rows =
     List.concat_map
       (fun table_size ->
@@ -42,9 +42,9 @@ let run ?(scale = 1.0) ?pool ~cfg () =
           |> List.filter (fun p -> p >= 0 && p < table_size)
         in
         List.map
-          (fun fn_id -> run_one ~pool ~cfg ~scale ~table_size ~fn_id)
+          (fun fn_id -> run_one ~run ~cfg ~scale ~table_size ~fn_id)
           positions
-        @ [ run_one ~pool ~cfg ~scale ~table_size ~fn_id:(-1) ])
+        @ [ run_one ~run ~cfg ~scale ~table_size ~fn_id:(-1) ])
       [ 1; 8; 32 ]
   in
   { rows }

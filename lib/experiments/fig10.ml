@@ -51,7 +51,7 @@ let kernel_rows ~kernel ~runner ~group_size =
     (fun (mode, c) -> { kernel; mode; cycles = c; relative = base /. c })
     cycles
 
-let run ?(scale = 1.0) ?(group_size = 32) ?pool ~cfg () =
+let run ?(scale = 1.0) ?(group_size = 32) ?run ~cfg () =
   (* The number of teams and threads-per-team is kept consistent across
      modes (§6.4); only the loop structure changes. *)
   let num_teams = teams_of cfg in
@@ -68,15 +68,15 @@ let run ?(scale = 1.0) ?(group_size = 32) ?pool ~cfg () =
       [
         kernel_rows ~kernel:"laplace3d" ~group_size ~runner:(fun ~reset_l2 mode3 ->
             Harness.time
-              (Laplace3d.run ~cfg ?pool ~reset_l2 ~num_teams ~threads ~mode3 laplace));
+              (Laplace3d.run ~cfg ?run ~reset_l2 ~num_teams ~threads ~mode3 laplace));
         kernel_rows ~kernel:"muram_transpose" ~group_size
           ~runner:(fun ~reset_l2 mode3 ->
             Harness.time
-              (Muram.run_transpose ~cfg ?pool ~reset_l2 ~num_teams ~threads ~mode3 muram));
+              (Muram.run_transpose ~cfg ?run ~reset_l2 ~num_teams ~threads ~mode3 muram));
         kernel_rows ~kernel:"muram_interpol" ~group_size
           ~runner:(fun ~reset_l2 mode3 ->
             Harness.time
-              (Muram.run_interpol ~cfg ?pool ~reset_l2 ~num_teams ~threads ~mode3 muram));
+              (Muram.run_interpol ~cfg ?run ~reset_l2 ~num_teams ~threads ~mode3 muram));
       ]
   in
   { rows }

@@ -23,7 +23,7 @@ type t = { rows : row list }
 val run :
   ?scale:float ->
   ?group_size:int ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   cfg:Gpusim.Config.t ->
   unit ->
   t

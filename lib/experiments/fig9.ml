@@ -41,7 +41,7 @@ let warm_measure run =
   let (_ : Harness.run) = run ~reset_l2:true in
   Harness.time (run ~reset_l2:false)
 
-let spmv_rows ~pool ~scale ~cfg ~group_sizes =
+let spmv_rows ~run ~scale ~cfg ~group_sizes =
   (* the simd variants launch 8 blocks per SM (realistic occupancy for
      latency staggering); the 32-thread two-level teams are much smaller,
      so the original code launches proportionally more of them.  The
@@ -63,14 +63,14 @@ let spmv_rows ~pool ~scale ~cfg ~group_sizes =
   let baseline_threads = max 32 cfg.Gpusim.Config.warp_size in
   let baseline =
     warm_measure (fun ~reset_l2 ->
-        Spmv.run_two_level ~cfg ?pool ~reset_l2 ~num_teams:baseline_teams
+        Spmv.run_two_level ~cfg ?run ~reset_l2 ~num_teams:baseline_teams
           ~threads:baseline_threads t)
   in
   List.map
     (fun group_size ->
       let simd =
         warm_measure (fun ~reset_l2 ->
-            Spmv.run_simd ~cfg ?pool ~reset_l2 ~num_teams ~threads:128
+            Spmv.run_simd ~cfg ?run ~reset_l2 ~num_teams ~threads:128
               ~mode3:(Harness.generic_simd ~group_size) t)
       in
       {
@@ -84,16 +84,16 @@ let spmv_rows ~pool ~scale ~cfg ~group_sizes =
 
 (* su3_bench: teams and parallel both SPMD; baseline is the same kernel
    with the 36-iteration loop serial in each thread (group size 1). *)
-let su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
+let su3_rows ~run ~dedup ~scale ~cfg ~group_sizes =
   let t = Su3.generate { Su3.sites = scaled scale (2 * lanes_of cfg); seed = 2 } in
   let num_teams = teams_of cfg in
   let baseline =
-    Harness.time (Su3.run_two_level ~cfg ?pool ~dedup ~num_teams ~threads:128 t)
+    Harness.time (Su3.run_two_level ~cfg ?run ~dedup ~num_teams ~threads:128 t)
   in
   List.map
     (fun group_size ->
       let r =
-        Su3.run ~cfg ?pool ~dedup ~num_teams ~threads:128
+        Su3.run ~cfg ?run ~dedup ~num_teams ~threads:128
           ~mode3:(Harness.spmd_simd ~group_size) t
       in
       let simd = Harness.time r in
@@ -110,7 +110,7 @@ let su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
 (* The ideal kernel's outer loop is deliberately too small to fill the
    device two-level (the §1 "thread level does not provide enough
    parallelism" scenario): the third level is what recovers occupancy. *)
-let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
+let ideal_rows ~run ~dedup ~scale ~cfg ~group_sizes =
   let t =
     Ideal.generate
       { Ideal.default_shape with Ideal.rows = scaled scale (lanes_of cfg / 4) }
@@ -118,14 +118,14 @@ let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
   let num_teams = teams_of cfg in
   let baseline =
     warm_measure (fun ~reset_l2 ->
-        Ideal.run ~cfg ?pool ~dedup ~reset_l2 ~num_teams ~threads:128
+        Ideal.run ~cfg ?run ~dedup ~reset_l2 ~num_teams ~threads:128
           ~mode3:(Harness.spmd_simd ~group_size:1) t)
   in
   List.map
     (fun group_size ->
       let simd =
         warm_measure (fun ~reset_l2 ->
-            Ideal.run ~cfg ?pool ~dedup ~reset_l2 ~num_teams ~threads:128
+            Ideal.run ~cfg ?run ~dedup ~reset_l2 ~num_teams ~threads:128
               ~mode3:(Harness.generic_simd ~group_size) t)
       in
       {
@@ -137,7 +137,7 @@ let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
       })
     group_sizes
 
-let run ?(scale = 1.0) ?pool ?(dedup = false) ?group_sizes:gs ~cfg () =
+let run ?(scale = 1.0) ?run ?(dedup = false) ?group_sizes:gs ~cfg () =
   let group_sizes =
     match gs with Some l -> l | None -> group_sizes_for cfg
   in
@@ -145,9 +145,9 @@ let run ?(scale = 1.0) ?pool ?(dedup = false) ?group_sizes:gs ~cfg () =
     rows =
       List.concat
         [
-          spmv_rows ~pool ~scale ~cfg ~group_sizes;
-          su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes;
-          ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes;
+          spmv_rows ~run ~scale ~cfg ~group_sizes;
+          su3_rows ~run ~dedup ~scale ~cfg ~group_sizes;
+          ideal_rows ~run ~dedup ~scale ~cfg ~group_sizes;
         ];
     group_sizes;
   }

@@ -30,14 +30,15 @@ val group_sizes_for : Gpusim.Config.t -> int list
 
 val run :
   ?scale:float ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?dedup:bool ->
   ?group_sizes:int list ->
   cfg:Gpusim.Config.t ->
   unit ->
   t
 (** Run the full experiment.  [scale] multiplies the problem sizes
-    (default 1.0; tests use small values); [pool] fans every launch's
+    (default 1.0; tests use small values); [run] carries the launch
+    settings, and its pool fans every launch's
     block simulation over host domains; [dedup] (default false) applies
     the homogeneous-grid fast path to the uniform su3 and ideal kernels.  Both
     keep the rows bit-identical to the plain sequential run (the sweep

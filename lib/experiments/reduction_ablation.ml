@@ -13,7 +13,7 @@ type t = { rows : row list }
 
 let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
-let run ?(scale = 1.0) ?pool ?group_sizes ~cfg () =
+let run ?(scale = 1.0) ?run ?group_sizes ~cfg () =
   let group_sizes =
     match group_sizes with
     | Some l -> l
@@ -33,11 +33,11 @@ let run ?(scale = 1.0) ?pool ?group_sizes ~cfg () =
       (fun group_size ->
         let mode3 = Harness.generic_simd ~group_size in
         let atomic =
-          Harness.time (Spmv.run_simd ~cfg ?pool ~num_teams ~threads:128 ~mode3 t)
+          Harness.time (Spmv.run_simd ~cfg ?run ~num_teams ~threads:128 ~mode3 t)
         in
         let reduction =
           Harness.time
-            (Spmv.run_simd_reduction ~cfg ?pool ~num_teams ~threads:128 ~mode3 t)
+            (Spmv.run_simd_reduction ~cfg ?run ~num_teams ~threads:128 ~mode3 t)
         in
         {
           group_size;

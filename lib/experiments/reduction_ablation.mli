@@ -18,7 +18,7 @@ type t = { rows : row list }
 
 val run :
   ?scale:float ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?group_sizes:int list ->
   cfg:Gpusim.Config.t ->
   unit ->

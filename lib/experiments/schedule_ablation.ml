@@ -13,7 +13,7 @@ let schedules =
     ("dynamic,4", Omprt.Workshare.Dynamic 4);
   ]
 
-let matrix_rows ~pool ~cfg ~scale ~name ~profile =
+let matrix_rows ~run ~cfg ~scale ~name ~profile =
   let teams = 4 * cfg.Gpusim.Config.num_sms in
   let rows = max 64 (int_of_float (float_of_int (teams * 128) *. scale)) in
   let t =
@@ -23,11 +23,11 @@ let matrix_rows ~pool ~cfg ~scale ~name ~profile =
   let time schedule =
     (* warm L2 measurement, as in E1 *)
     let (_ : Harness.run) =
-      Spmv.run_simd ~cfg ?pool ~reset_l2:true ~num_teams:teams ~threads:128 ~schedule
+      Spmv.run_simd ~cfg ?run ~reset_l2:true ~num_teams:teams ~threads:128 ~schedule
         ~mode3:(Harness.generic_simd ~group_size:8) t
     in
     Harness.time
-      (Spmv.run_simd ~cfg ?pool ~reset_l2:false ~num_teams:teams ~threads:128
+      (Spmv.run_simd ~cfg ?run ~reset_l2:false ~num_teams:teams ~threads:128
          ~schedule ~mode3:(Harness.generic_simd ~group_size:8) t)
   in
   let static_cycles = time Omprt.Workshare.Static in
@@ -40,12 +40,12 @@ let matrix_rows ~pool ~cfg ~scale ~name ~profile =
       { matrix = name; schedule = label; cycles; relative = static_cycles /. cycles })
     schedules
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?run ~cfg () =
   {
     rows =
-      matrix_rows ~pool ~cfg ~scale ~name:"power-law"
+      matrix_rows ~run ~cfg ~scale ~name:"power-law"
         ~profile:(Spmv.Power_law { max_nnz = 256; s = 1.1 })
-      @ matrix_rows ~pool ~cfg ~scale ~name:"uniform"
+      @ matrix_rows ~run ~cfg ~scale ~name:"uniform"
           ~profile:(Spmv.Uniform 24);
   }
 

@@ -22,7 +22,7 @@ type t = { rows : row list; payload_args : int }
 
 let payload_args = 12
 
-let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
+let run_one ~run ~cfg ~scale ~sharing_bytes ~group_size =
   let threads = 128 in
   let num_teams = max 1 (int_of_float (64.0 *. scale)) in
   let rows_trip = max 1 (int_of_float (float_of_int (threads * 4) *. scale)) in
@@ -35,7 +35,7 @@ let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
     { Team.num_teams; num_threads = threads; teams_mode = Mode.Spmd; sharing_bytes }
   in
   let report =
-    Target.launch ~cfg ?pool ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ?run ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:group_size ~payload
           ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:rows_trip (fun i ->
@@ -60,12 +60,12 @@ let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
     cycles = report.Gpusim.Device.time_cycles;
   }
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?run ~cfg () =
   let rows =
     List.concat_map
       (fun sharing_bytes ->
         List.map
-          (fun group_size -> run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size)
+          (fun group_size -> run_one ~run ~cfg ~scale ~sharing_bytes ~group_size)
           [ 2; 4; 8; 16; 32 ])
       (* 256 is genuinely undersized (the per-block wave of 96-byte
          payloads peaks above it); 1024 was too small for the old static

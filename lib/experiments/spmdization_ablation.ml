@@ -80,7 +80,7 @@ let tight_kernel ~width =
         ];
     ]
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?run ~cfg () =
   let width = 32 in
   let teams = 4 * cfg.Gpusim.Config.num_sms in
   let n =
@@ -109,7 +109,7 @@ let run ?(scale = 1.0) ?pool ~cfg () =
         Memory.fill marks 0.0;
         Memory.l2_reset space;
         let report =
-          Openmp.Offload.run ~cfg ?pool
+          Openmp.Offload.run ~cfg ?run
             ~clauses:
               Openmp.Clause.(none |> num_teams teams |> num_threads 128 |> simdlen 32)
             ~bindings compiled

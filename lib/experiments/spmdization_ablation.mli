@@ -26,6 +26,6 @@ type row = {
 type t = { rows : row list }
 
 val run :
-  ?scale:float -> ?pool:Gpusim.Pool.t -> cfg:Gpusim.Config.t -> unit -> t
+  ?scale:float -> ?run:Gpusim.Run.t -> cfg:Gpusim.Config.t -> unit -> t
 val to_table : t -> Ompsimd_util.Table.t
 val print : t -> unit

@@ -15,12 +15,12 @@ type t = { rows : row list }
 
 let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?run ~cfg () =
   let t = Su3.generate { Su3.sites = scaled scale 16384; seed = 2 } in
   let num_teams = scaled scale 128 in
   let threads = 128 in
   let run_mode teams_mode =
-    Su3.run ~cfg ?pool ~num_teams ~threads
+    Su3.run ~cfg ?run ~num_teams ~threads
       ~mode3:{ Harness.teams_mode; parallel_mode = Mode.Spmd; group_size = 4 }
       t
   in

@@ -21,8 +21,8 @@ type t = { rows : row list }
 
 let claims = [ "fig9 simd>1"; "fig10 gen<=spmd"; "E6 red>atomic" ]
 
-let fig9_verdict ~scale ~pool ~cfg =
-  let r = Fig9.run ~scale ?pool ~cfg () in
+let fig9_verdict ~scale ~run ~cfg =
+  let r = Fig9.run ~scale ?run ~cfg () in
   let kernels = [ "sparse_matvec"; "su3_bench"; "ideal_kernel" ] in
   let bests =
     List.map (fun k -> (k, (Fig9.best r ~kernel:k).Fig9.speedup)) kernels
@@ -35,9 +35,9 @@ let fig9_verdict ~scale ~pool ~cfg =
         (List.map (fun (k, s) -> Printf.sprintf "%s=%.2fx" k s) bests);
   }
 
-let fig10_verdict ~scale ~pool ~cfg =
+let fig10_verdict ~scale ~run ~cfg =
   let group_size = min 32 cfg.Gpusim.Config.warp_size in
-  let r = Fig10.run ~scale ~group_size ?pool ~cfg () in
+  let r = Fig10.run ~scale ~group_size ?run ~cfg () in
   let kernels = [ "laplace3d"; "muram_transpose"; "muram_interpol" ] in
   let gaps =
     List.map
@@ -57,8 +57,8 @@ let fig10_verdict ~scale ~pool ~cfg =
            gaps);
   }
 
-let e6_verdict ~scale ~pool ~cfg =
-  let r = Reduction_ablation.run ~scale ?pool ~cfg () in
+let e6_verdict ~scale ~run ~cfg =
+  let r = Reduction_ablation.run ~scale ?run ~cfg () in
   let best =
     List.fold_left
       (fun acc (row : Reduction_ablation.row) ->
@@ -71,7 +71,7 @@ let e6_verdict ~scale ~pool ~cfg =
     detail = Printf.sprintf "best=%.2fx" best;
   }
 
-let run ?(scale = 1.0) ?pool ?entries () =
+let run ?(scale = 1.0) ?run ?entries () =
   let entries =
     match entries with Some e -> e | None -> Gpusim.Zoo.sweep
   in
@@ -83,9 +83,9 @@ let run ?(scale = 1.0) ?pool ?entries () =
           device = e.Gpusim.Zoo.name;
           verdicts =
             [
-              fig9_verdict ~scale ~pool ~cfg;
-              fig10_verdict ~scale ~pool ~cfg;
-              e6_verdict ~scale ~pool ~cfg;
+              fig9_verdict ~scale ~run ~cfg;
+              fig10_verdict ~scale ~run ~cfg;
+              e6_verdict ~scale ~run ~cfg;
             ];
         })
       entries

@@ -24,7 +24,7 @@ val claims : string list
 
 val run :
   ?scale:float ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?entries:Gpusim.Zoo.entry list ->
   unit ->
   t

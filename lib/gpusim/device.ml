@@ -17,35 +17,48 @@ type sim_result =
   | B_ok of
       Occupancy.block_cost
       * Counters.t
-      * Memory.block_session
+      * Thread.mem_session
       * Ompsan.block_report option
       * Fault.events
   | B_failed of Fault.failure * Fault.events
 
-(* One block's simulation, bracketed in a memory session so its L2
-   traffic is order-independent (see Memory).  Runs on whichever domain
-   the pool hands the index to; everything it touches is block-local.
-   The sanitizer's shadow state shares the bracket; on the exception
-   path its findings are stashed for [Ompsan.take_aborted] (a divergent
-   kernel deadlocks before the epilogue runs).
+(* One block's simulation in its own memory session, so its L2 traffic
+   is order-independent (see Memory).  Runs on whichever domain the pool
+   hands the index to; everything it touches is block-local, and the
+   session, fault draws and shadow state ride on its warps.  On the
+   exception path the shadow findings go to the run's collector (a
+   divergent kernel deadlocks before the epilogue runs).
 
    Failure capture: an injected fatal fault (Fault.Fatal) always yields
    a failed block.  A deadlock — injected stall or genuine divergence —
    yields one only when capture is armed (fault plan set, or a watchdog
    budget); otherwise it re-raises, preserving the historical
    Engine.Deadlock contract for unarmed callers. *)
-let simulate_block ~cfg ?trace ~block ~init ~body block_id =
-  Memory.session_begin ();
-  Ompsan.block_begin ~block_id ~num_threads:block
-    ~warp_size:cfg.Config.warp_size;
-  Fault.block_begin ~block_id ~num_threads:block
-    ~warp_size:cfg.Config.warp_size;
+let simulate_block ~cfg ~(run : Run.t) ~locked ~nonce ?trace ~block ~init
+    ~body block_id =
+  let msession = Memory.session ~locked in
+  let ws = cfg.Config.warp_size in
+  let fault =
+    match run.Run.faults with
+    | Some plan ->
+        Fault.block_begin plan ~nonce ~block_id ~num_threads:block ~warp_size:ws
+    | None -> Thread.No_faults
+  in
+  let san =
+    if run.Run.sanitize then
+      Ompsan.block_begin ~block_id ~num_threads:block ~warp_size:ws
+    else Thread.No_san
+  in
+  let abort () =
+    Ompsan.block_abort run.Run.aborted san;
+    Fault.block_end fault
+  in
   match
     let arena = Shared.arena cfg in
     let state = init ~block_id arena in
     let result =
-      Engine.run_block ~cfg ?trace ~block_id ~num_threads:block (fun th ->
-          body state th)
+      Engine.run_block ~cfg ?trace ~msession ~fault ~san ~block_id
+        ~num_threads:block (fun th -> body state th)
     in
     (* A software-barrier device pays shared-memory residency for its
        per-block flag arrays on top of whatever the kernel allocated. *)
@@ -55,16 +68,10 @@ let simulate_block ~cfg ?trace ~block ~init ~body block_id =
          + Config.sw_barrier_smem_bytes cfg ~threads:block),
      result.Engine.counters)
   with
-  | exception Fault.Fatal f ->
-      let ev = Fault.block_abort () in
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
-      B_failed (f, ev)
-  | exception Engine.Deadlock _ when Fault.capture_deadlocks () ->
+  | exception Fault.Fatal f -> B_failed (f, abort ())
+  | exception Engine.Deadlock _ when Run.capture_deadlocks run ->
       let stall = Engine.take_stall () in
-      let ev = Fault.block_abort () in
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
+      let ev = abort () in
       let f =
         match ev.Fault.ev_stall with
         | Some f -> f  (* the injected stall that caused this deadlock *)
@@ -93,21 +100,19 @@ let simulate_block ~cfg ?trace ~block ~init ~body block_id =
       in
       B_failed (f, ev)
   | exception e ->
-      ignore (Fault.block_abort () : Fault.events);
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
+      ignore (abort () : Fault.events);
       raise e
   | cost, counters ->
-      let san = Ompsan.block_end () in
-      let ev = Fault.block_end () in
-      B_ok (cost, counters, Memory.session_end (), san, ev)
+      B_ok (cost, counters, msession, Ompsan.block_end san, Fault.block_end fault)
 
-let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
+let launch ~cfg ?(run = Run.default) ?trace ?block_class ~grid ~block ~init
+    ~body () =
   if grid <= 0 then invalid_arg "Device.launch: grid must be positive";
   if block <= 0 then invalid_arg "Device.launch: block must be positive";
   if block > cfg.Config.max_threads_per_block then
     invalid_arg "Device.launch: block exceeds device limit";
-  Fault.launch_begin ();
+  (* every block of the launch draws its faults at the same nonce *)
+  let nonce = if Run.armed run then Run.next_nonce run else 0 in
   let tracing = Option.is_some trace in
   (* Tracing forces the full sequential path: Trace.t is one shared
      mutable log, and a deduplicated trace would misrepresent the grid. *)
@@ -130,16 +135,21 @@ let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
         incr nreps
   done;
   let reps = Array.of_list (List.rev !rev_reps) in
-  let simulate = simulate_block ~cfg ?trace ~block ~init ~body in
+  let pool =
+    match run.Run.pool with
+    | Some p when not tracing && Pool.size p > 0 -> Some p
+    | _ -> None
+  in
+  (* only a multi-domain block phase needs the host lock on atomics *)
+  let simulate =
+    simulate_block ~cfg ~run ~locked:(Option.is_some pool) ~nonce ?trace
+      ~block ~init ~body
+  in
   let results =
     match pool with
-    | Some p when not tracing && Pool.size p > 0 ->
-        Memory.set_rmw_locking true;
+    | Some p ->
         Pool.parallel_init p (Array.length reps) (fun i -> simulate reps.(i))
-    | _ ->
-        (* single-domain block phase: device atomics need no host lock *)
-        Memory.set_rmw_locking false;
-        Array.init (Array.length reps) (fun i -> simulate reps.(i))
+    | None -> Array.init (Array.length reps) (fun i -> simulate reps.(i))
   in
   (* Deterministic epilogue, in ascending block_id order regardless of
      which domain simulated what: commit the per-block L2 logs, then
@@ -183,7 +193,7 @@ let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
      deduplicated homogeneous grid still self-detects fixed-cell
      writes). *)
   let sanitizer =
-    if not !Ompsan.enabled then None
+    if not run.Run.sanitize then None
     else
       Some
         (Ompsan.launch_report
@@ -197,7 +207,7 @@ let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
      drawn per representative).  The watchdog check runs here: a block
      whose critical path exceeds the budget completed, but is reported
      hung. *)
-  let wd = Fault.watchdog_budget () in
+  let wd = run.Run.watchdog in
   let rev_failures = ref [] in
   let stats = ref Fault.zero_stats in
   Array.iteri

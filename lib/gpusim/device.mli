@@ -29,9 +29,9 @@ type report = {
   failures : Fault.failure list;
       (** Failed blocks in ascending block_id order: injected fatal
           faults, captured barrier stalls (injected or genuine
-          divergence, when {!Fault.capture_deadlocks} is armed), and
+          divergence, when {!Run.capture_deadlocks} holds), and
           watchdog findings for blocks whose critical path exceeded the
-          [OMPSIMD_WATCHDOG] budget.  A failed block contributes no
+          run's watchdog budget.  A failed block contributes no
           counters, no L2 traffic and a zero cost entry — its failure
           record {e is} its contribution.  Always [[]] when disarmed. *)
   faults : Fault.stats;
@@ -42,7 +42,7 @@ type report = {
 
 val launch :
   cfg:Config.t ->
-  ?pool:Pool.t ->
+  ?run:Run.t ->
   ?trace:Trace.t ->
   ?block_class:(int -> int) ->
   grid:int ->
@@ -55,8 +55,10 @@ val launch :
     threads.  [init] runs once per block (e.g. building the team state and
     reserving static shared memory); [body] runs in every thread fiber.
 
-    [pool] fans block simulation out across the pool's domains; the
-    report is bit-identical to the sequential run.  When [trace] is set
+    [run] (default {!Run.default}: sequential, disarmed) carries the
+    launch settings, read by every block; an armed launch takes the
+    run's next fault nonce.  Its pool fans block simulation out across
+    domains, bit-identically to the sequential run.  When [trace] is set
     the launch always simulates every block sequentially on the calling
     domain ([Trace.t] is a single shared log).
 
@@ -71,7 +73,7 @@ val launch :
     writes do not happen and only representative L2 traffic is committed —
     use it to regenerate timing sweeps, not to produce data.
 
-    With fault capture armed (see {!Fault.capture_deadlocks}) a block
+    With fault capture armed (see {!Run.capture_deadlocks}) a block
     that deadlocks or takes a fatal injected fault does not raise — it
     lands in [report.failures].  Disarmed, genuine divergence raises
     {!Engine.Deadlock} exactly as before.

@@ -51,12 +51,17 @@ val barrier_wait : Barrier.t -> Thread.t -> unit
 val run_block :
   cfg:Config.t ->
   ?trace:Trace.t ->
+  ?msession:Thread.mem_session ->
+  ?fault:Thread.fault_state ->
+  ?san:Thread.san_state ->
   block_id:int ->
   num_threads:int ->
   (Thread.t -> unit) ->
   block_result
 (** Create [num_threads] fibers (grouped into warps of [cfg.warp_size]),
     run the body in each, and return the block's timing summary.
+    [msession], [fault] and [san] (default none) are the launcher's
+    per-block state, stamped on every warp ({!Thread.make_warp}).
     @raise Invalid_argument if [num_threads] is not positive or exceeds
     [cfg.max_threads_per_block].
     @raise Deadlock on unreleased barriers. *)

@@ -12,9 +12,9 @@
 
    The launch nonce makes *relaunches* draw fresh faults — a recovered
    request would otherwise re-fail forever — while staying
-   deterministic: launches are host-sequential, the nonce just counts
-   them.  [reset] rewinds it so a replay of a whole trace (the serve
-   scheduler, determinism tests) sees the identical fault sequence.
+   deterministic: it belongs to the run ({!Run}), which counts its own
+   armed launches, so a fresh run replays the identical fault sequence
+   and two runs never see each other's launches.
 
    Kinds:
    - abort:   the victim thread aborts the block at its first global
@@ -30,13 +30,12 @@
    - exhaust: every sharing-space acquire in the block is forced onto
               the omprt global-memory fallback path.
 
-   Arming the plan (a non-blank spec, or a positive OMPSIMD_WATCHDOG
-   cycle budget) also switches Device.launch from raising
-   Engine.Deadlock to converting hung blocks into structured failure
-   reports.  With the plan disarmed every hook is one load-and-branch
+   Arming a plan (or a positive watchdog budget) also switches
+   Device.launch from raising Engine.Deadlock to converting hung blocks
+   into structured failure reports.  The hooks are gated on the warp's
+   [faults] switch: with no plan armed every hook is one load-and-branch
    and reports are bit-identical to a build without this module. *)
 
-module Env = Ompsimd_util.Env
 module Prng = Ompsimd_util.Prng
 
 type kind = Block_abort | Ecc_fatal | Barrier_stall | Watchdog
@@ -162,58 +161,6 @@ let parse_spec ~seed spec =
                         kind)));
   !p
 
-(* Armed = a spec is present (even all-zero rates: that arms structured
-   deadlock capture without injecting anything).  The watchdog budget is
-   independent so divergence reporting can be turned on alone. *)
-let armed = ref false
-let current : plan ref = ref disarmed
-let watchdog = ref 0.0
-
-(* Counts armed launches; see the header note on relaunch determinism.
-   Atomic only for memory-model hygiene — launches are host-sequential. *)
-let nonce = Atomic.make 0
-let reset () = Atomic.set nonce 0
-
-let refresh_from_env () =
-  watchdog := Env.float "OMPSIMD_WATCHDOG" ~default:0.0;
-  let next =
-    match Env.var "OMPSIMD_FAULTS" with
-    | None -> None
-    | Some spec ->
-        Some (parse_spec ~seed:(Env.int "OMPSIMD_FAULT_SEED" ~default:0) spec)
-  in
-  match next with
-  | None ->
-      armed := false;
-      current := disarmed;
-      reset ()
-  | Some p ->
-      (* an unchanged plan keeps the nonce: launches within one armed
-         process keep drawing fresh faults across refreshes *)
-      if (not !armed) || p <> !current then begin
-        current := p;
-        reset ()
-      end;
-      armed := true
-
-let watchdog_budget () = !watchdog
-let capture_deadlocks () = !armed || !watchdog > 0.0
-let launch_begin () = if !armed then ignore (Atomic.fetch_and_add nonce 1 : int)
-
-(* The fleet scheduler pins each member launch of a batch to a nonce
-   derived from the request identity, so the faults a request draws are
-   a pure function of (plan, request, attempt) — independent of where
-   the fleet placed it, whether it was batched, and what launched
-   before it.  launch_begin stores old+1 and block_begin reads the
-   stored value, so landing on [n] means setting the counter to n-1. *)
-let with_nonce n f =
-  if not !armed then f ()
-  else begin
-    let saved = Atomic.get nonce in
-    Atomic.set nonce (n - 1);
-    Fun.protect ~finally:(fun () -> Atomic.set nonce saved) f
-  end
-
 (* --- per-block decisions ----------------------------------------------- *)
 
 (* Trigger cycles are drawn uniformly in [0, 2000): early enough that
@@ -240,64 +187,51 @@ type bstate = {
   mutable stall_rec : failure option;
 }
 
-let state_slot : bstate option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+type Thread.fault_state += Armed of bstate
 
-let block_begin ~block_id ~num_threads ~warp_size =
-  if !armed then begin
-    let p = !current in
-    let seed =
-      (((p.seed * 1_000_003) + Atomic.get nonce) * 1_000_003) + block_id
-    in
-    let g = Prng.create ~seed in
-    (* fixed draw order, all draws unconditional: the decision stream
-       depends only on (seed, nonce, block_id), never on the rates *)
-    let abort_hit = Prng.uniform g < p.abort_rate in
-    let abort_at = Prng.float g trigger_horizon in
-    let abort_tid = Prng.int g num_threads in
-    let flip_hit = Prng.uniform g < p.flip_rate in
-    let flip_at = Prng.float g trigger_horizon in
-    let flip_tid = Prng.int g num_threads in
-    let flip_fatal = Prng.uniform g < p.flip_fatal_frac in
-    let num_warps = (num_threads + warp_size - 1) / warp_size in
-    let stall_hit = Prng.uniform g < p.stall_rate in
-    let stall_at = Prng.float g trigger_horizon in
-    let stall_warp = Prng.int g num_warps in
-    let exhaust = Prng.uniform g < p.exhaust_rate in
-    let slot = Domain.DLS.get state_slot in
-    (match !slot with
-    | Some _ -> invalid_arg "Fault.block_begin: fault state already open"
-    | None -> ());
-    slot :=
-      Some
-        {
-          b_block = block_id;
-          b_threads = num_threads;
-          b_ws = warp_size;
-          abort_at = (if abort_hit then abort_at else infinity);
-          abort_tid;
-          flip_at = (if flip_hit then flip_at else infinity);
-          flip_tid;
-          flip_fatal;
-          stall_at = (if stall_hit then stall_at else infinity);
-          stall_warp;
-          exhaust;
-          corrected = 0;
-          exhausts = 0;
-          stall_rec = None;
-        }
-  end
+let block_begin p ~nonce ~block_id ~num_threads ~warp_size =
+  let seed = (((p.seed * 1_000_003) + nonce) * 1_000_003) + block_id in
+  let g = Prng.create ~seed in
+  (* fixed draw order, all draws unconditional: the decision stream
+     depends only on (seed, nonce, block_id), never on the rates *)
+  let abort_hit = Prng.uniform g < p.abort_rate in
+  let abort_at = Prng.float g trigger_horizon in
+  let abort_tid = Prng.int g num_threads in
+  let flip_hit = Prng.uniform g < p.flip_rate in
+  let flip_at = Prng.float g trigger_horizon in
+  let flip_tid = Prng.int g num_threads in
+  let flip_fatal = Prng.uniform g < p.flip_fatal_frac in
+  let num_warps = (num_threads + warp_size - 1) / warp_size in
+  let stall_hit = Prng.uniform g < p.stall_rate in
+  let stall_at = Prng.float g trigger_horizon in
+  let stall_warp = Prng.int g num_warps in
+  let exhaust = Prng.uniform g < p.exhaust_rate in
+  Armed
+    {
+      b_block = block_id;
+      b_threads = num_threads;
+      b_ws = warp_size;
+      abort_at = (if abort_hit then abort_at else infinity);
+      abort_tid;
+      flip_at = (if flip_hit then flip_at else infinity);
+      flip_tid;
+      flip_fatal;
+      stall_at = (if stall_hit then stall_at else infinity);
+      stall_warp;
+      exhaust;
+      corrected = 0;
+      exhausts = 0;
+      stall_rec = None;
+    }
 
-let close_block () =
-  let slot = Domain.DLS.get state_slot in
-  match !slot with
-  | None -> no_events
-  | Some b ->
-      slot := None;
-      { ev_corrected = b.corrected; ev_exhausts = b.exhausts; ev_stall = b.stall_rec }
-
-let block_end () = close_block ()
-let block_abort () = close_block ()
+let block_end = function
+  | Armed b ->
+      {
+        ev_corrected = b.corrected;
+        ev_exhausts = b.exhausts;
+        ev_stall = b.stall_rec;
+      }
+  | _ -> no_events
 
 (* --- hooks ------------------------------------------------------------- *)
 
@@ -305,9 +239,8 @@ let block_abort () = close_block ()
    access at or after the trigger cycle — both the access sequence and
    the clocks are deterministic, so so is the failure point. *)
 let on_access (th : Thread.t) =
-  match !(Domain.DLS.get state_slot) with
-  | None -> ()
-  | Some b ->
+  match th.Thread.warp.Thread.fault with
+  | Armed b ->
       let tid = th.Thread.tid in
       let clk = Thread.clock th in
       if tid = b.abort_tid && clk >= b.abort_at then begin
@@ -341,6 +274,7 @@ let on_access (th : Thread.t) =
           Counters.bump th.Thread.counters "fault.ecc_corrected" 1.0
         end
       end
+  | _ -> ()
 
 (* Barrier tap (Engine.barrier_wait).  When the arriving thread is the
    block's stall victim, return a private barrier that can never
@@ -348,9 +282,8 @@ let on_access (th : Thread.t) =
    thread there instead of its real rendezvous and the block surfaces
    as a deadlock, which Device converts into this recorded failure. *)
 let stall_here (th : Thread.t) ~abandoned =
-  match !(Domain.DLS.get state_slot) with
-  | None -> None
-  | Some b ->
+  match th.Thread.warp.Thread.fault with
+  | Armed b ->
       if b.stall_at = infinity then None
       else
         let tid = th.Thread.tid in
@@ -372,12 +305,13 @@ let stall_here (th : Thread.t) ~abandoned =
             (Barrier.create ~name:"fault.stall" ~expected:(b.b_threads + 1)
                ~cost:0.0 ())
         end
+  | _ -> None
 
 (* Sharing-space tap (Omprt.Sharing.acquire): true forces the global
    fallback regardless of the payload fitting the slice. *)
-let exhaust_here () =
-  match !(Domain.DLS.get state_slot) with
-  | None -> false
-  | Some b ->
+let exhaust_here (th : Thread.t) =
+  match th.Thread.warp.Thread.fault with
+  | Armed b ->
       if b.exhaust then b.exhausts <- b.exhausts + 1;
       b.exhaust
+  | _ -> false

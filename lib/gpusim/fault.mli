@@ -3,19 +3,20 @@
     A fault plan parsed from [OMPSIMD_FAULTS] ("kind=rate" tokens,
     comma separated; kinds [abort], [flip] (optionally [flip=rate:frac]
     with [frac] the fatal fraction), [stall], [exhaust]) and seeded by
-    [OMPSIMD_FAULT_SEED].  Every decision is drawn at block start from
-    (plan seed, launch nonce, block_id), so injected faults are
-    bit-identical across [OMPSIMD_DOMAINS] and both [OMPSIMD_EVAL]
-    engines; the nonce counts armed launches so a relaunch of a failed
-    request draws fresh faults, and {!reset} rewinds it so replaying a
-    whole trace reproduces the identical fault sequence.
+    [OMPSIMD_FAULT_SEED], carried by a {!Run}.  Every decision is drawn
+    at block start from (plan seed, launch nonce, block_id), so injected
+    faults are bit-identical across pool widths and both eval engines.
+    The nonce counts the run's armed launches: a relaunch draws fresh
+    faults and a fresh run replays the identical sequence.
 
-    Arming a plan — any non-blank spec, even with all-zero rates — or
-    setting a positive [OMPSIMD_WATCHDOG] cycle budget also switches
-    {!Device.launch} from raising {!Engine.Deadlock} to reporting hung
-    blocks as structured {!failure}s.  Disarmed, every hook is a single
-    load-and-branch and reports are bit-identical to a build without
-    this module. *)
+    Arming a plan (even all-zero) or a positive watchdog budget also
+    switches {!Device.launch} from raising {!Engine.Deadlock} to
+    reporting hung blocks as structured {!failure}s.  Without a plan
+    every hook is one load-and-branch on {!Thread.faults} and reports
+    are bit-identical to a build without this module.  An armed plan
+    moves timings even at all-zero rates: simd lockstep loops then take
+    the classic path ([Omprt.Workshare.simd_loop]): the same work, in
+    another lane order (see there). *)
 
 type kind =
   | Block_abort  (** injected asynchronous block abort *)
@@ -46,7 +47,7 @@ type stats = {
   fatal : int;  (** injected aborts + uncorrectable flips *)
   stalls : int;  (** barrier-stall failures (injected or genuine) *)
   exhausts : int;  (** sharing acquires forced onto the global fallback *)
-  watchdogs : int;  (** blocks over the [OMPSIMD_WATCHDOG] budget *)
+  watchdogs : int;  (** blocks over the run's watchdog budget *)
 }
 
 val zero_stats : stats
@@ -64,47 +65,28 @@ exception Fatal of failure
 (** Raised by {!on_access} inside the victim thread's fiber; caught by
     [Device.simulate_block] and turned into a failed block. *)
 
-val armed : bool ref
-(** Hot-path gate: hooks are behind [if !Fault.armed]. *)
+type plan
+(** A parsed fault plan: per-kind rates plus the seed. *)
 
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_FAULTS] / [OMPSIMD_FAULT_SEED] /
-    [OMPSIMD_WATCHDOG].  An unchanged plan keeps the launch nonce; a
-    changed (or cleared) plan resets it.
-    @raise Invalid_argument on a malformed spec. *)
+val parse_spec : seed:int -> string -> plan
+(** Parse an [OMPSIMD_FAULTS] spec under [seed].  A blank spec is a
+    valid all-zero plan: armed, injecting nothing.
+    @raise Invalid_argument on a malformed spec, naming
+    [OMPSIMD_FAULTS]. *)
 
-val reset : unit -> unit
-(** Rewind the launch nonce so the next armed launch replays the fault
-    sequence from the start (trace replays, determinism tests). *)
+val block_begin :
+  plan ->
+  nonce:int ->
+  block_id:int ->
+  num_threads:int ->
+  warp_size:int ->
+  Thread.fault_state
+(** Draw this block's fault decisions from (plan seed, [nonce],
+    [block_id]): the state {!Engine.run_block} stamps on the block's
+    warps, where the hooks below find it. *)
 
-val watchdog_budget : unit -> float
-(** The per-block cycle budget; 0 = watchdog off. *)
-
-val capture_deadlocks : unit -> bool
-(** Whether [Device.launch] converts deadlocks into structured failures
-    (armed plan or positive watchdog budget) instead of re-raising. *)
-
-val launch_begin : unit -> unit
-(** Called once per [Device.launch]; bumps the nonce when armed. *)
-
-val with_nonce : int -> (unit -> 'a) -> 'a
-(** [with_nonce n f] runs [f] with the next armed launch drawing its
-    faults at exactly nonce [n], restoring the counter afterwards so
-    surrounding sequential launches are unaffected.  This is how the
-    fleet scheduler makes injection a pure function of (plan, request,
-    attempt) instead of global dispatch order: batched, sharded and
-    solo replays of the same request inject identical faults.  A no-op
-    when disarmed. *)
-
-val block_begin : block_id:int -> num_threads:int -> warp_size:int -> unit
-(** Draw this block's fault decisions (no-op when disarmed).
-    @raise Invalid_argument if a block is already open on this domain. *)
-
-val block_end : unit -> events
-val block_abort : unit -> events
-(** Close the block and return what fired; {!block_abort} is the
-    exception-path variant (same behaviour, named for symmetry with
-    {!Ompsan}). *)
+val block_end : Thread.fault_state -> events
+(** What fired in the block ({!no_events} for {!Thread.No_faults}). *)
 
 val on_access : Thread.t -> unit
 (** Global-access tap: aborts/flips fire at the victim's first access at
@@ -114,5 +96,5 @@ val stall_here : Thread.t -> abandoned:Barrier.t -> Barrier.t option
 (** Barrier-arrival tap: [Some b] directs the arriving thread to park on
     the never-completing barrier [b] instead of [abandoned]. *)
 
-val exhaust_here : unit -> bool
+val exhaust_here : Thread.t -> bool
 (** Sharing-space tap: [true] forces the global-memory fallback. *)

@@ -117,51 +117,18 @@ let vlog_push v line =
   v.vlen <- v.vlen + 1
 
 type block_session = {
+  locked : bool;  (* device atomics take the host lock; see [rmw_locked] *)
   mutable views : l2_view list;  (* reversed creation order *)
   (* 1-slot view cache: a block's consults cluster by space, so most
      lookups hit the space consulted last and skip the list walk *)
   mutable vmemo : l2_view option;
 }
 
-let session_slot : block_session option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* Every warp of the block carries its session (Thread.mem_session); a
+   block without one (a bare Engine.run_block) uses the committed L2. *)
+type Thread.mem_session += Session of block_session
 
-(* Warp-stashed answer to "is a session open on this domain?" (see
-   Thread.mem_session): the L2 consult on every warp-cache miss would
-   otherwise pay a Domain.DLS lookup.  Safe to memoize per warp because
-   sessions bracket whole blocks (Device opens one before
-   Engine.run_block creates the warps and closes it after run_block
-   returns), so the answer is constant for a warp's entire lifetime —
-   [Bare_l2] records the no-session case for blocks run outside a
-   session. *)
-type Thread.mem_session += Session of block_session | Bare_l2
-
-let session_of_warp (w : Thread.warp_state) =
-  match w.Thread.msession with
-  | Thread.No_session ->
-      let b =
-        match !(Domain.DLS.get session_slot) with
-        | Some s -> Session s
-        | None -> Bare_l2
-      in
-      w.Thread.msession <- b;
-      b
-  | b -> b
-
-let session_begin () =
-  let slot = Domain.DLS.get session_slot in
-  (match !slot with
-  | Some _ -> invalid_arg "Memory.session_begin: session already open"
-  | None -> ());
-  slot := Some { views = []; vmemo = None }
-
-let session_end () =
-  let slot = Domain.DLS.get session_slot in
-  match !slot with
-  | None -> invalid_arg "Memory.session_end: no open session"
-  | Some s ->
-      slot := None;
-      s
+let session ~locked = Session { locked; views = []; vmemo = None }
 
 let rec find_view space = function
   | [] -> None
@@ -207,21 +174,23 @@ let[@inline] view_of session space (cfg : Config.t) =
   | Some v when v.vspace == space -> v
   | _ -> view_of_slow session space cfg
 
-let session_commit s =
-  List.iter
-    (fun v ->
-      let l2 = l2_of v.vspace v.vcfg in
-      let log = v.vlog in
-      let order = v.vspace.l2_order in
-      (* the replay walks millions of entries across a launch; the order
-         cell is a 1-element floatarray, so index 0 is always in bounds *)
-      for i = 0 to v.vlen - 1 do
-        let o = Float.Array.unsafe_get order 0 +. 1.0 in
-        Float.Array.unsafe_set order 0 o;
-        Linebuf.set_now l2 o;
-        ignore (Linebuf.touch_line l2 ~lane:0 (Array.unsafe_get log i))
-      done)
-    (List.rev s.views)
+let session_commit = function
+  | Session s ->
+      List.iter
+        (fun v ->
+          let l2 = l2_of v.vspace v.vcfg in
+          let log = v.vlog in
+          let order = v.vspace.l2_order in
+          (* the replay walks millions of entries across a launch; the order
+             cell is a 1-element floatarray, so index 0 is always in bounds *)
+          for i = 0 to v.vlen - 1 do
+            let o = Float.Array.unsafe_get order 0 +. 1.0 in
+            Float.Array.unsafe_set order 0 o;
+            Linebuf.set_now l2 o;
+            ignore (Linebuf.touch_line l2 ~lane:0 (Array.unsafe_get log i))
+          done)
+        (List.rev s.views)
+  | _ -> ()
 
 let check name len i =
   if i < 0 || i >= len then
@@ -281,7 +250,7 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
      Aborts and bit flips fire here — the global-access path is where
      every kernel's traffic funnels, and thread clocks at each access
      are deterministic, so the failure point is too. *)
-  if !Fault.armed then Fault.on_access th;
+  if Thread.faults th then Fault.on_access th;
   let cfg = th.cfg in
   let cost = cfg.Config.cost in
   let c = th.counters in
@@ -300,7 +269,7 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
   else begin
     Counters.add_lsu c 1.0;
     let l2_resident =
-      match session_of_warp th.Thread.warp with
+      match th.Thread.warp.Thread.msession with
       | Session s ->
           let v = view_of s space cfg in
           let o = Float.Array.unsafe_get v.vorder 0 +. 1.0 in
@@ -332,7 +301,7 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
 (* Sanitizer taps: one load-and-branch when disabled, never touching
    clocks or counters, so reports stay bit-identical either way. *)
 let[@inline] sanitize th space ~base ~index ~kind =
-  if !Ompsan.enabled then
+  if Thread.sanitize th then
     Ompsan.global_access th ~sid:space.sid
       ~addr:(base + (index * element_bytes))
       ~kind
@@ -379,13 +348,14 @@ let[@inline] iset a th i v =
 let rmw_lock = Mutex.create ()
 
 (* The lock only matters when blocks simulate on several domains; a
-   sequential launch (no pool, or a zero-worker pool) pays two futex ops
-   per device atomic for nothing.  [Device.launch] flips this before the
-   block phase of every launch, so the flag always reflects the current
-   launch's domain usage.  Results are unaffected either way — the lock
-   guards host-side read-modify-write only, never timing. *)
-let rmw_locking = ref true
-let set_rmw_locking on = rmw_locking := on
+   sequential launch pays two futex ops per device atomic for nothing.
+   The decision belongs to the launch, in its blocks' sessions, so a
+   sequential launch on one domain never turns locking off under a
+   pooled launch on another.  Results are unaffected either way. *)
+let rmw_locked (th : Thread.t) =
+  match th.Thread.warp.Thread.msession with
+  | Session s -> s.locked
+  | _ -> false
 
 let atomic_cost (th : Thread.t) line =
   let cost = th.cfg.Config.cost in
@@ -401,10 +371,11 @@ let[@inline] atomic_fadd a th i v =
   let line = account th ~space:a.fspace ~base:a.fbase ~index:i ~is_store:true in
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.fdata.(i) in
   a.fdata.(i) <- prev +. v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let atomic_fmax a th i v =
@@ -412,10 +383,11 @@ let atomic_fmax a th i v =
   let line = account th ~space:a.fspace ~base:a.fbase ~index:i ~is_store:true in
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.fdata.(i) in
   if v > prev then a.fdata.(i) <- v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let atomic_iadd a th i v =
@@ -423,10 +395,11 @@ let atomic_iadd a th i v =
   let line = account th ~space:a.ispace ~base:a.ibase ~index:i ~is_store:true in
   sanitize th a.ispace ~base:a.ibase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.idata.(i) in
   a.idata.(i) <- prev + v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let host_get a i =

@@ -49,27 +49,22 @@ val l2_reset : space -> unit
 (** {2 Per-block L2 sessions}
 
     The device L2 is the only simulator state shared between thread
-    blocks.  {!Device.launch} brackets each block's simulation in a
-    session: while a session is open on the current domain, L2 lookups
-    hit a private fork of the committed L2 (its state as of launch
-    start) and the touch sequence is logged.  The launcher commits all
-    block logs in ascending block_id order once every block is done,
-    which makes block simulation order-independent — the prerequisite
-    for both multicore fan-out and the homogeneous-grid dedup fast path.
-    Without an open session (e.g. a bare {!Engine.run_block}) accesses
-    touch the committed L2 directly. *)
+    blocks.  {!Device.launch} runs each block in a session, carried on
+    the block's warps: L2 lookups hit a private fork of the committed L2
+    (its state as of launch start) and the touch sequence is logged.
+    The launcher commits all block logs in ascending block_id order
+    once every block is done, which makes block simulation
+    order-independent — the prerequisite for both multicore fan-out and
+    the homogeneous-grid dedup fast path.  Without a session (e.g. a
+    bare {!Engine.run_block}) accesses touch the committed L2 directly. *)
 
-type block_session
+val session : locked:bool -> Thread.mem_session
+(** A fresh session for one block, to hand to {!Engine.run_block}.
+    [locked]: the block's device atomics take the host read-modify-write
+    lock (the launch simulates blocks on several domains).  The lock
+    costs two futex operations per atomic and never affects results. *)
 
-val session_begin : unit -> unit
-(** Open a session on the calling domain.
-    @raise Invalid_argument if one is already open. *)
-
-val session_end : unit -> block_session
-(** Close the current domain's session and return it for a later
-    {!session_commit}.  @raise Invalid_argument if none is open. *)
-
-val session_commit : block_session -> unit
+val session_commit : Thread.mem_session -> unit
 (** Replay the session's L2 touches into the committed L2.  Call once
     per session, from a single domain, in ascending block_id order. *)
 
@@ -96,13 +91,6 @@ val atomic_fadd : farray -> Thread.t -> int -> float -> float
 
 val atomic_fmax : farray -> Thread.t -> int -> float -> float
 val atomic_iadd : iarray -> Thread.t -> int -> int -> int
-
-val set_rmw_locking : bool -> unit
-(** Whether device atomics take the host-side read-modify-write lock.
-    [Device.launch] turns it off for sequential launches (no pool, or a
-    zero-worker pool): the lock only guards against lost updates when
-    blocks simulate on several domains, and costs two futex operations
-    per atomic.  Never affects simulated results. *)
 
 val host_get : farray -> int -> float
 (** Cost-free host access (verification / init). *)

@@ -29,7 +29,8 @@
    through a third thread would over-report, which is the conservative
    direction for a sanitizer.
 
-   Everything below is gated on [enabled]: with the sanitizer off the
+   Everything below is gated on the launch's sanitizer switch, which
+   every warp carries (Thread.sanitize): with the sanitizer off the
    hooks reduce to one load-and-branch, the shadow state is never
    allocated, and no thread clock or counter is ever touched — the
    existing bit-identity tests double as the proof. *)
@@ -37,18 +38,6 @@
 type access_kind = Read | Write | Atomic
 
 let kind_label = function Read -> "read" | Write -> "write" | Atomic -> "atomic"
-
-(* --- enable switch ---------------------------------------------------- *)
-
-let env_enabled () =
-  (* blank = unset = off; anything else falls back to off as well — the
-     sanitizer is opt-in and must never arm by accident *)
-  match Ompsimd_util.Env.var "OMPSIMD_SANITIZE" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled = ref (env_enabled ())
-let refresh_from_env () = enabled := env_enabled ()
 
 (* --- site registry ----------------------------------------------------
 
@@ -224,42 +213,32 @@ type block_report = {
 
 let max_findings_per_block = 64
 
-let state_slot : state option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The block's shadow state rides on its warps (Thread.san_state),
+   stamped by Engine.run_block: every hook finds it with a field load. *)
+type Thread.san_state += Shadow of state
 
 let block_begin ~block_id ~num_threads ~warp_size =
-  if !enabled then begin
-    let slot = Domain.DLS.get state_slot in
-    (match !slot with
-    | Some _ -> invalid_arg "Ompsan.block_begin: shadow state already open"
-    | None -> ());
-    slot :=
-      Some
-        {
-          st_block = block_id;
-          st_threads = num_threads;
-          st_ws = warp_size;
-          sync = Array.make (num_threads * num_threads) 0;
-          actors = Array.init num_threads Fun.id;
-          now = 1;
-          cur_site = runtime_site;
-          cells = Hashtbl.create 256;
-          summaries = Hashtbl.create 64;
-          parked = Array.make num_threads None;
-          pendings = Hashtbl.create 16;
-          sm_flag = Array.make num_threads false;
-          findings_rev = [];
-          nfindings = 0;
-          dedup = Hashtbl.create 16;
-        }
-  end
+  Shadow
+    {
+      st_block = block_id;
+      st_threads = num_threads;
+      st_ws = warp_size;
+      sync = Array.make (num_threads * num_threads) 0;
+      actors = Array.init num_threads Fun.id;
+      now = 1;
+      cur_site = runtime_site;
+      cells = Hashtbl.create 256;
+      summaries = Hashtbl.create 64;
+      parked = Array.make num_threads None;
+      pendings = Hashtbl.create 16;
+      sm_flag = Array.make num_threads false;
+      findings_rev = [];
+      nfindings = 0;
+      dedup = Hashtbl.create 16;
+    }
 
-let close_block () =
-  let slot = Domain.DLS.get state_slot in
-  match !slot with
-  | None -> None
-  | Some st ->
-      slot := None;
+let block_end = function
+  | Shadow st ->
       let summaries =
         Hashtbl.fold (fun k s acc -> (k, s) :: acc) st.summaries []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -270,43 +249,42 @@ let close_block () =
           br_findings = List.rev st.findings_rev;
           br_summaries = summaries;
         }
-
-let block_end () = close_block ()
+  | _ -> None
 
 (* Findings that would be lost to an in-flight exception (a sanitized
-   kernel that deadlocks — e.g. genuine barrier divergence — never
-   reaches the launch epilogue).  [block_abort] stashes them here. *)
-let aborted_mutex = Mutex.create ()
-let aborted_rev : finding list ref = ref []
+   kernel that deadlocks never reaches the launch epilogue) go to the
+   run's collector; a pooled launch's blocks may abort on several
+   domains at once, hence the lock. *)
+type aborted = { lock : Mutex.t; mutable rev : finding list }
 
-let block_abort () =
-  match close_block () with
+let aborted () = { lock = Mutex.create (); rev = [] }
+
+let block_abort sink san =
+  match block_end san with
   | None -> ()
   | Some br ->
-      Mutex.lock aborted_mutex;
-      aborted_rev := List.rev_append br.br_findings !aborted_rev;
-      Mutex.unlock aborted_mutex
+      Mutex.protect sink.lock (fun () ->
+          sink.rev <- List.rev_append br.br_findings sink.rev)
 
-let take_aborted () =
-  Mutex.lock aborted_mutex;
-  let fs = List.rev !aborted_rev in
-  aborted_rev := [];
-  Mutex.unlock aborted_mutex;
-  fs
+let take_aborted sink =
+  Mutex.protect sink.lock (fun () ->
+      let fs = List.rev sink.rev in
+      sink.rev <- [];
+      fs)
 
-let set_site id =
-  match !(Domain.DLS.get state_slot) with
-  | Some st -> st.cur_site <- id
-  | None -> ()
+let set_site (th : Thread.t) id =
+  match th.Thread.warp.Thread.san with
+  | Shadow st -> st.cur_site <- id
+  | _ -> ()
 
 let set_actor (th : Thread.t) actor =
-  match !(Domain.DLS.get state_slot) with
-  | Some st ->
+  match th.Thread.warp.Thread.san with
+  | Shadow st ->
       let tid = th.Thread.tid in
       let prev = st.actors.(tid) in
       st.actors.(tid) <- actor;
       prev
-  | None -> actor
+  | _ -> actor
 
 (* --- access checking -------------------------------------------------- *)
 
@@ -414,26 +392,24 @@ let record st ~shared ~id ~addr ~tid ~kind =
       c.w_site <- site
 
 let global_access (th : Thread.t) ~sid ~addr ~kind =
-  match !(Domain.DLS.get state_slot) with
-  | None -> ()
-  | Some st -> record st ~shared:false ~id:sid ~addr ~tid:th.Thread.tid ~kind
+  match th.Thread.warp.Thread.san with
+  | Shadow st -> record st ~shared:false ~id:sid ~addr ~tid:th.Thread.tid ~kind
+  | _ -> ()
 
 let shared_access (th : Thread.t) ~aid ~addr ~kind =
-  match !(Domain.DLS.get state_slot) with
-  | None -> ()
-  | Some st -> record st ~shared:true ~id:aid ~addr ~tid:th.Thread.tid ~kind
+  match th.Thread.warp.Thread.san with
+  | Shadow st -> record st ~shared:true ~id:aid ~addr ~tid:th.Thread.tid ~kind
+  | _ -> ()
 
 (* --- barriers and epochs ---------------------------------------------- *)
 
-let enter_state_machine (th : Thread.t) =
-  match !(Domain.DLS.get state_slot) with
-  | Some st -> st.sm_flag.(th.Thread.tid) <- true
-  | None -> ()
+let set_sm (th : Thread.t) flag =
+  match th.Thread.warp.Thread.san with
+  | Shadow st -> st.sm_flag.(th.Thread.tid) <- flag
+  | _ -> ()
 
-let leave_state_machine (th : Thread.t) =
-  match !(Domain.DLS.get state_slot) with
-  | Some st -> st.sm_flag.(th.Thread.tid) <- false
-  | None -> ()
+let enter_state_machine th = set_sm th true
+let leave_state_machine th = set_sm th false
 
 (* Divergence: a lane arriving at barrier B while a mask-mate sits parked
    at a *different* warp-scope barrier whose mask covers (or overlaps)
@@ -468,9 +444,8 @@ let check_divergence st ~tid ~warp ~mask ~block_scope ~bar_id ~bar_name =
 
 let barrier_arrive (th : Thread.t) ~block_scope ~mask ~bar_id ~bar_name
     ~expected ~participants =
-  match !(Domain.DLS.get state_slot) with
-  | None -> ()
-  | Some st ->
+  match th.Thread.warp.Thread.san with
+  | Shadow st ->
       let tid = th.Thread.tid in
       let warp = th.Thread.warp.Thread.warp_index in
       check_divergence st ~tid ~warp ~mask ~block_scope ~bar_id ~bar_name;
@@ -512,11 +487,9 @@ let barrier_arrive (th : Thread.t) ~block_scope ~mask ~bar_id ~bar_name
               p_name = bar_name;
               p_sm = st.sm_flag.(tid);
             }
+  | _ -> ()
 
 (* --- launch-level composition ----------------------------------------- *)
-
-let kernel_name = ref "<kernel>"
-let set_kernel n = kernel_name := n
 
 (* Cross-block conflicts from the per-block summaries, folded in
    ascending block id.  A block's non-atomic write races with any access
@@ -611,7 +584,7 @@ let launch_report (per_block : block_report option array) =
       | _ -> ())
     per_block;
   {
-    kernel = !kernel_name;
+    kernel = "<kernel>";
     findings = List.rev !intra @ cross_block_findings per_block;
     blocks = Array.length per_block;
   }

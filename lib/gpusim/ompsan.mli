@@ -10,22 +10,16 @@
     reports barrier divergence: a lane arriving at one barrier while a
     mask-mate is parked at a different warp-scope barrier.
 
-    Enabled via [OMPSIMD_SANITIZE=1] (or the {!enabled} flag directly).
-    When disabled every hook is a single load-and-branch: no shadow
-    state is allocated and no clock or counter is touched, so sanitized
-    builds stay bit-identical to the seed — the existing determinism
-    tests are the proof. *)
+    A run turns it on ({!Run}, from [OMPSIMD_SANITIZE=1] at the edge);
+    every warp of its launches carries the switch ({!Thread.sanitize}).
+    When off every hook is a single load-and-branch: no shadow state is
+    allocated and no clock or counter is touched, so sanitized builds
+    stay bit-identical to the seed — the existing determinism tests are
+    the proof. *)
 
 type access_kind = Read | Write | Atomic
 
 val kind_label : access_kind -> string
-
-val enabled : bool ref
-(** Initialized from [OMPSIMD_SANITIZE]; tests may flip it directly. *)
-
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_SANITIZE] (launch entry points call this so the
-    environment knob works without re-linking). *)
 
 (** {2 Sites}
 
@@ -39,8 +33,8 @@ val site_label : int -> string
 val runtime_site : int
 (** Site 0: accesses issued by the runtime rather than kernel IR. *)
 
-val set_site : int -> unit
-(** Attribute subsequent accesses of the current block to this site. *)
+val set_site : Thread.t -> int -> unit
+(** Attribute the block's subsequent accesses to this site. *)
 
 val set_actor : Thread.t -> int -> int
 (** [set_actor th actor] attributes the thread's subsequent accesses to
@@ -49,7 +43,7 @@ val set_actor : Thread.t -> int -> int
     in SPMD mode all lanes of a SIMD group redundantly execute region
     code as one logical OpenMP thread, so the runtime points them at the
     group leader there and back at their own tid inside simd loop
-    bodies.  A no-op (echoing [actor]) when no block is open. *)
+    bodies.  A no-op (echoing [actor]) without shadow state. *)
 
 (** {2 Reports} *)
 
@@ -81,6 +75,8 @@ type finding =
     }
 
 type report = { kernel : string; findings : finding list; blocks : int }
+(** [kernel] is ["<kernel>"] as {!launch_report} builds it; launchers
+    that know the kernel's name stamp it (see [Openmp.Offload.run]). *)
 
 val is_clean : report -> bool
 val pp_access : Format.formatter -> access -> unit
@@ -91,28 +87,30 @@ val pp_report : Format.formatter -> report -> unit
 val report_strings : report -> string list
 (** Formatted findings, in deterministic discovery order. *)
 
-val set_kernel : string -> unit
-(** Name stamped on the next {!launch_report}. *)
-
 (** {2 Block lifecycle} (driven by {!Device.launch}) *)
 
 type block_report
 
-val block_begin : block_id:int -> num_threads:int -> warp_size:int -> unit
-(** Open the per-block shadow state on the calling domain.  No-op when
-    the sanitizer is disabled.
-    @raise Invalid_argument if a shadow state is already open. *)
+val block_begin :
+  block_id:int -> num_threads:int -> warp_size:int -> Thread.san_state
+(** Fresh shadow state for a sanitized block: {!Engine.run_block} stamps
+    it on the block's warps, where the hooks find it. *)
 
-val block_end : unit -> block_report option
-(** Close and return the block's findings and cross-block access
-    summaries ([None] when the sanitizer was disabled). *)
+val block_end : Thread.san_state -> block_report option
+(** The block's findings and cross-block access summaries ([None] for
+    {!Thread.No_san}). *)
 
-val block_abort : unit -> unit
-(** Exception path: close the shadow state and stash its findings for
-    {!take_aborted} (a divergent kernel deadlocks before the launch
-    epilogue can run). *)
+type aborted
+(** A run's collector for the findings of blocks that died mid-launch. *)
 
-val take_aborted : unit -> finding list
+val aborted : unit -> aborted
+
+val block_abort : aborted -> Thread.san_state -> unit
+(** Exception path: stash the block's findings for {!take_aborted} (a
+    divergent kernel deadlocks before the launch epilogue runs). *)
+
+val take_aborted : aborted -> finding list
+(** The stashed findings in stash order; reading clears them. *)
 
 val launch_report : block_report option array -> report
 (** Compose the launch-level report: per-block findings merged in
@@ -121,7 +119,8 @@ val launch_report : block_report option array -> report
     dedup the same report may stand in for several blocks (a multi-member
     class whose representative writes a fixed cell races with itself). *)
 
-(** {2 Hooks} — all no-ops unless {!enabled} and a block is open. *)
+(** {2 Hooks} — callers gate them on {!Thread.sanitize}; all no-ops
+    without shadow state. *)
 
 val global_access : Thread.t -> sid:int -> addr:int -> kind:access_kind -> unit
 val shared_access : Thread.t -> aid:int -> addr:int -> kind:access_kind -> unit

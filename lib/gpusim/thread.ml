@@ -1,21 +1,23 @@
-(* Per-warp stash slots for the layers above (the engine's scheduler,
-   the memory system's block session).  Both live in Domain.DLS, but a
-   DLS lookup costs ~5ns against <1ns for a field load, and the barrier
-   and L2 paths consult them millions of times per launch.  The types
-   are extensible because those layers depend on [Thread], not the other
-   way round; each layer adds its own constructor and owns the
-   invariant that a stashed value never outlives the block that set it
+(* Per-warp slots for the layers above (see the interface): a field
+   load costs <1ns against ~5ns for a Domain.DLS lookup, on paths taken
+   millions of times per launch.  A value never outlives its block
    (warps are created per [Engine.run_block] and die with it). *)
 type engine_sched = ..
 type engine_sched += No_sched
 type mem_session = ..
 type mem_session += No_session
+type fault_state = ..
+type fault_state += No_faults
+type san_state = ..
+type san_state += No_san
 
 type warp_state = {
   warp_index : int;
   lines : Linebuf.t;
+  msession : mem_session;
+  fault : fault_state;
+  san : san_state;
   mutable esched : engine_sched;
-  mutable msession : mem_session;
   (* per-line atomic counts since the last sync point, as an
      open-addressing table over flat int arrays (keys as line+1 with
      0 = empty).  Each entry carries the generation it was written in:
@@ -56,14 +58,16 @@ type t = {
   st : state;
 }
 
-let make_warp ~(cfg : Config.t) ~warp_index =
+let make_warp ~(cfg : Config.t) ~warp_index ~msession ~fault ~san =
   {
     warp_index;
     lines =
       Linebuf.create ~capacity:cfg.linebuf_lines
         ~coalesce_window:cfg.coalesce_window;
+    msession;
+    fault;
+    san;
     esched = No_sched;
-    msession = No_session;
     ae_keys = Array.make 64 0;
     ae_gen = Array.make 64 0;
     ae_cnt = Array.make 64 0;
@@ -169,6 +173,8 @@ let create ~cfg ~counters ?trace ~block_id ~tid ~warp () =
   }
 
 let[@inline] clock t = t.st.clock
+let[@inline] faults t = t.warp.fault != No_faults
+let[@inline] sanitize t = t.warp.san != No_san
 let[@inline] busy t = t.st.busy
 let[@inline] simt_factor t = t.st.simt_factor
 

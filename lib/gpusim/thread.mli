@@ -6,26 +6,30 @@
     roofline (critical path); [busy] excludes barrier wait and feeds the
     throughput leg. *)
 
+(** Per-warp slots for the layers above, each extensible so the layer
+    adds its own constructor: the engine's scheduler (set by
+    [Engine.run_block], reset to {!No_sched} when it returns), and the
+    per-block state the launcher creates and {!make_warp} stamps — the
+    memory system's L2 session, the fault injector's draws and the
+    sanitizer's shadow state.  [No_*] means none for this block, so the
+    hot-path taps test a field at hand, never a process-wide switch. *)
+
 type engine_sched = ..
-(** Extensible stash for the engine's per-domain scheduler: the engine
-    adds its own constructor and parks a reference on every warp of the
-    running block, turning the Domain.DLS lookup on each barrier
-    arrival into a field load.  Reset to {!No_sched} when the block's
-    [Engine.run_block] returns. *)
-
 type engine_sched += No_sched
-
 type mem_session = ..
-(** Same pattern for the memory system's per-block L2 session; see
-    {!Memory}. *)
-
 type mem_session += No_session
+type fault_state = ..
+type fault_state += No_faults
+type san_state = ..
+type san_state += No_san
 
 type warp_state = {
   warp_index : int;
   lines : Linebuf.t;  (** coalescing window shared by the warp's lanes *)
+  msession : mem_session;
+  fault : fault_state;
+  san : san_state;
   mutable esched : engine_sched;
-  mutable msession : mem_session;
   mutable ae_keys : int array;
   mutable ae_gen : int array;
   mutable ae_cnt : int array;
@@ -70,7 +74,9 @@ type t = {
   st : state;
 }
 
-val make_warp : cfg:Config.t -> warp_index:int -> warp_state
+val make_warp :
+  cfg:Config.t -> warp_index:int -> msession:mem_session ->
+  fault:fault_state -> san:san_state -> warp_state
 
 val ae_bump : warp_state -> int -> int
 (** [ae_bump w line] counts an atomic to [line] in the current epoch and
@@ -89,6 +95,11 @@ val create :
 
 val clock : t -> float
 (** Current virtual time (latency leg). *)
+
+val faults : t -> bool
+val sanitize : t -> bool
+(** Whether the block has fault state / sanitizer state: the gates of
+    the {!Fault} and {!Ompsan} taps. *)
 
 val busy : t -> float
 (** Issue work so far (throughput leg; excludes barrier wait). *)

@@ -10,7 +10,8 @@
    every cost charge, memory account, barrier, broadcast and reduction
    happens in the same order with the same magnitude, so a launch under
    either engine yields equal reports and equal {!Gpusim.Counters}.  The
-   walker stays as the reference interpreter (OMPSIMD_EVAL=walk). *)
+   walker stays as the reference interpreter ([Walk] in the offload
+   knobs, OMPSIMD_EVAL=walk at the edge). *)
 
 module Memory = Gpusim.Memory
 module Mode = Omprt.Mode
@@ -26,17 +27,6 @@ type value = Eval.value = V_int of int | V_float of float
 let err fmt = Printf.ksprintf (fun s -> raise (Eval.Error s)) fmt
 
 type engine = Walk | Staged
-
-let engine_of_env () =
-  (* blank = unset ({!Ompsimd_util.Env}), the shared convention for
-     every OMPSIMD_* knob *)
-  match Ompsimd_util.Env.var "OMPSIMD_EVAL" with
-  | Some "walk" -> Walk
-  | Some "compile" | Some "staged" | None -> Staged
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_EVAL=%s (expected \"compile\" or \"walk\")"
-           other)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
@@ -158,11 +148,12 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
       let a = farray statics arr in
       let cidx = compile_expr statics senv idx in
       (* site ids are interned once at compile time; the running closure
-         only pays a flag test when the sanitizer is off *)
+         only pays the warp's switch test when the sanitizer is off *)
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitize ctx.Team.th then
+          Gpusim.Ompsan.set_site ctx.Team.th site;
         V_float (Memory.fget a ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let a = iarray statics arr in
@@ -170,7 +161,8 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitize ctx.Team.th then
+          Gpusim.Ompsan.set_site ctx.Team.th site;
         V_int (Memory.iget a ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let ca = compile_expr statics senv a in
@@ -434,7 +426,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitize ctx.Team.th then
+            Gpusim.Ompsan.set_site ctx.Team.th site;
           Memory.fset a ctx.Team.th i v;
           env )
   | Ir.Store_int (arr, idx, value) ->
@@ -446,7 +439,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_int arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitize ctx.Team.th then
+            Gpusim.Ompsan.set_site ctx.Team.th site;
           Memory.iset a ctx.Team.th i v;
           env )
   | Ir.Atomic_add (arr, idx, value) ->
@@ -458,7 +452,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitize ctx.Team.th then
+            Gpusim.Ompsan.set_site ctx.Team.th site;
           let (_ : float) = Memory.atomic_fadd a ctx.Team.th i v in
           env )
   | Ir.If (cond, then_, else_) ->
@@ -663,7 +658,7 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
 (* ------------------------------------------------------------------ *)
 (* Launch                                                              *)
 
-let run ~cfg ?pool ?trace ~(options : options) ~bindings (p : Outline.program)
+let run ~cfg ?run ?trace ~(options : options) ~bindings (p : Outline.program)
     =
   let statics =
     {
@@ -707,7 +702,7 @@ let run ~cfg ?pool ?trace ~(options : options) ~bindings (p : Outline.program)
       sharing_bytes = options.Eval.sharing_bytes;
     }
   in
-  Target.launch ~cfg ?pool ?trace ~params
+  Target.launch ~cfg ?run ?trace ~params
     ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
       (* every executing thread owns a private copy of the region scope *)
       let frame = Array.make nslots dummy_cell in

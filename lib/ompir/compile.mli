@@ -12,20 +12,17 @@
     same values, same cost charges in the same order, same memory
     accounting, so reports and {!Gpusim.Counters} are equal across
     engines.  The walker remains the reference interpreter, selectable
-    with [OMPSIMD_EVAL=walk]. *)
+    as [Walk] in the offload knobs ([OMPSIMD_EVAL=walk] at the edge). *)
 
 type value = Eval.value = V_int of int | V_float of float
 
 type engine = Walk | Staged
-
-val engine_of_env : unit -> engine
-(** Engine selected by the [OMPSIMD_EVAL] environment variable:
-    ["walk"] is the tree walker, ["compile"]/["staged"] (and unset) the
-    staged evaluator.  @raise Invalid_argument on other values. *)
+(** Which evaluator runs a launch: the {!Eval} tree walker or this
+    staged compiler. *)
 
 val run :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   options:Eval.options ->
   bindings:(string * Eval.binding) list ->

@@ -98,11 +98,13 @@ let rec eval_expr ctx statics scope (e : Ir.expr) =
       | None -> err "unbound variable %s" name)
   | Ir.Load (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
-      if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site (Sites.load arr idx);
+      if Gpusim.Thread.sanitize ctx.Team.th then
+        Gpusim.Ompsan.set_site ctx.Team.th (Sites.load arr idx);
       V_float (Memory.fget (farray statics arr) ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
-      if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site (Sites.load arr idx);
+      if Gpusim.Thread.sanitize ctx.Team.th then
+        Gpusim.Ompsan.set_site ctx.Team.th (Sites.load arr idx);
       V_int (Memory.iget (iarray statics arr) ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let va = eval_expr ctx statics scope a in
@@ -265,22 +267,22 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
   | Ir.Store (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
-      if !Gpusim.Ompsan.enabled then
-        Gpusim.Ompsan.set_site (Sites.store arr idx);
+      if Gpusim.Thread.sanitize ctx.Team.th then
+        Gpusim.Ompsan.set_site ctx.Team.th (Sites.store arr idx);
       Memory.fset (farray statics arr) ctx.Team.th i v;
       scope
   | Ir.Store_int (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_int arr (eval_expr ctx statics scope value) in
-      if !Gpusim.Ompsan.enabled then
-        Gpusim.Ompsan.set_site (Sites.store arr idx);
+      if Gpusim.Thread.sanitize ctx.Team.th then
+        Gpusim.Ompsan.set_site ctx.Team.th (Sites.store arr idx);
       Memory.iset (iarray statics arr) ctx.Team.th i v;
       scope
   | Ir.Atomic_add (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
-      if !Gpusim.Ompsan.enabled then
-        Gpusim.Ompsan.set_site (Sites.atomic arr idx);
+      if Gpusim.Thread.sanitize ctx.Team.th then
+        Gpusim.Ompsan.set_site ctx.Team.th (Sites.atomic arr idx);
       let (_ : float) = Memory.atomic_fadd (farray statics arr) ctx.Team.th i v in
       scope
   | Ir.If (cond, then_, else_) ->
@@ -414,7 +416,7 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       Team.region_barrier_wait ctx;
       scope
 
-let run ~cfg ?pool ?trace ~options ~bindings (p : Outline.program) =
+let run ~cfg ?run ?trace ~options ~bindings (p : Outline.program) =
   let statics =
     {
       farrays = Hashtbl.create 8;
@@ -446,7 +448,7 @@ let run ~cfg ?pool ?trace ~options ~bindings (p : Outline.program) =
       sharing_bytes = options.sharing_bytes;
     }
   in
-  Target.launch ~cfg ?pool ?trace ~params
+  Target.launch ~cfg ?run ?trace ~params
     ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
       (* every executing thread owns a private copy of the region scope *)
       let scope = { frames = [ List.map (fun (n, c) -> (n, ref !c)) !root_frame ] } in

@@ -37,7 +37,7 @@ val default_options : options
 
 val run :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   options:options ->
   bindings:(string * binding) list ->

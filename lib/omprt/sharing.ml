@@ -242,7 +242,7 @@ let acquire t th ~bytes =
      its firings, so it is consulted at most once and only when the
      payload would otherwise fit. *)
   let fits = hole >= 0 || t.top + bytes <= t.total_bytes in
-  if fits && not (!Gpusim.Fault.armed && Gpusim.Fault.exhaust_here ()) then begin
+  if fits && not (Gpusim.Thread.faults th && Gpusim.Fault.exhaust_here th) then begin
     let offset =
       if hole >= 0 then hole
       else begin
@@ -318,7 +318,7 @@ let copy_cost ?(sharers = 1) ~kind t th location payload =
          bytes recycled across region lifetimes never alias. *)
       for k = 0 to n - 1 do
         Gpusim.Shared.touch th ~bytes:8;
-        if !Gpusim.Ompsan.enabled then
+        if Gpusim.Thread.sanitize th then
           Gpusim.Ompsan.shared_access th ~aid:t.arena_id
             ~addr:(vbase + (k * 8))
             ~kind

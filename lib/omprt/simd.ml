@@ -197,7 +197,7 @@ let state_machine ctx =
      crosses block-scope barriers while the worker idles here. *)
   let th = ctx.Team.th in
   let prev_actor =
-    if !Gpusim.Ompsan.enabled then begin
+    if Gpusim.Thread.sanitize th then begin
       Gpusim.Ompsan.enter_state_machine th;
       (* Workers only ever run simd-loop bodies — their own lane's work;
          undo any enclosing SPMD attribution. *)
@@ -207,7 +207,7 @@ let state_machine ctx =
   in
   Fun.protect
     ~finally:(fun () ->
-      if !Gpusim.Ompsan.enabled then begin
+      if Gpusim.Thread.sanitize th then begin
         ignore (Gpusim.Ompsan.set_actor th prev_actor);
         Gpusim.Ompsan.leave_state_machine th
       end)

@@ -44,7 +44,7 @@ let thread_main body team (th : Gpusim.Thread.t) =
              body as the (single logical) team main; attribute those
              accesses to one actor so the sanitizer ignores the
              redundancy. *)
-          if !Gpusim.Ompsan.enabled then ignore (Gpusim.Ompsan.set_actor th 0);
+          if Gpusim.Thread.sanitize th then ignore (Gpusim.Ompsan.set_actor th 0);
           body ctx
       | Mode.Generic -> team_state_machine body ctx)
   | Team.Team_main ->
@@ -56,11 +56,10 @@ let thread_main body team (th : Gpusim.Thread.t) =
           target_deinit ctx)
   | Team.Inactive_main_lane -> ()
 
-let launch ~cfg ?pool ?trace ?block_class ~params ?(dispatch_table_size = 0)
+let launch ~cfg ?run ?trace ?block_class ~params ?(dispatch_table_size = 0)
     body =
-  Workshare.refresh_from_env ();
   let block = Team.block_threads ~cfg params in
-  Gpusim.Device.launch ~cfg ?pool ?trace ?block_class
+  Gpusim.Device.launch ~cfg ?run ?trace ?block_class
     ~grid:params.Team.num_teams ~block
     ~init:(fun ~block_id arena ->
       let team = Team.create ~cfg ~arena ~params ~block_id in

@@ -10,7 +10,7 @@
 
 val launch :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?block_class:(int -> int) ->
   params:Team.params ->
@@ -22,11 +22,11 @@ val launch :
     [dispatch_table_size] is the number of outlined regions the compiler
     put in the if-cascade dispatcher (§5.5); ids beyond it pay the
     indirect-call penalty.  The returned report carries the simulated
-    kernel time and merged counters.  [pool] and [block_class] are
-    forwarded to {!Gpusim.Device.launch}: the former simulates teams on
-    several host domains, the latter deduplicates equivalent teams —
-    both preserve the report bit-for-bit (see the Device determinism
-    contract). *)
+    kernel time and merged counters.  [run] and [block_class] are
+    forwarded to {!Gpusim.Device.launch}: the former carries the launch
+    settings (pool, fault plan, watchdog, sanitizer), the latter
+    deduplicates equivalent teams — a pool and dedup both preserve the
+    report bit-for-bit (see the Device determinism contract). *)
 
 val team_state_machine : (Team.ctx -> unit) -> Team.ctx -> unit
 (** Worker-thread loop for generic teams mode — exposed for tests.  The

@@ -183,7 +183,7 @@ let slot t ~group =
    expects, so the shadow epochs advance exactly where real
    synchronization happens.  One load-and-branch when disabled. *)
 let san_warp_arrive (th : Gpusim.Thread.t) ~mask bar =
-  if !Gpusim.Ompsan.enabled then begin
+  if Gpusim.Thread.sanitize th then begin
     let ws = th.Gpusim.Thread.cfg.Gpusim.Config.warp_size in
     let warp = th.Gpusim.Thread.warp.Gpusim.Thread.warp_index in
     let participants = List.map (fun l -> (warp * ws) + l) (Mask.to_list mask) in
@@ -195,7 +195,7 @@ let san_warp_arrive (th : Gpusim.Thread.t) ~mask bar =
   end
 
 let san_block_arrive (th : Gpusim.Thread.t) ~participants bar =
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitize th then
     Gpusim.Ompsan.barrier_arrive th ~block_scope:true ~mask:0
       ~bar_id:(Gpusim.Barrier.id bar)
       ~bar_name:(Gpusim.Barrier.name bar)

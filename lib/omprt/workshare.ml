@@ -200,19 +200,8 @@ let distribute_parallel_for ctx ?(schedule = Static) ~trip f =
 
    Fault-injected runs keep the classic path: stall faults park their
    victims at the per-round barriers, which the fused rounds never
-   reach.  [OMPSIMD_LOCKSTEP=classic] restores the barrier-per-round
-   execution for bisection. *)
-
-let fused = ref true
-
-let refresh_from_env () =
-  match Ompsimd_util.Env.var "OMPSIMD_LOCKSTEP" with
-  | None | Some "fused" -> fused := true
-  | Some "classic" -> fused := false
-  | Some s ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_LOCKSTEP must be \"fused\" or \"classic\", got %S"
-           s)
+   reach; an armed all-zero plan runs a launch wholesale on the classic
+   path.  The two paths are not bit-identical (see the interface). *)
 
 let drop_fn : int -> unit = fun _ -> ()
 let drop_red : int -> float = fun _ -> 0.0
@@ -280,7 +269,7 @@ let drive_simd ctx g ~group ~num ~trip =
   let ths = team.Team.fused_ths in
   let fns = team.Team.fused_fns in
   let overhead = step_cost ctx in
-  let san = !Gpusim.Ompsan.enabled in
+  let san = Gpusim.Thread.sanitize ctx.Team.th in
   if san then san_set_actors team ~base ~num;
   let rounds = (trip + num - 1) / num in
   for r = 0 to rounds - 1 do
@@ -320,7 +309,7 @@ let drive_fold ctx g ~group ~num ~trip =
   let reds = team.Team.fused_reds in
   let acc = team.Team.fused_acc in
   let overhead = step_cost ctx in
-  let san = !Gpusim.Ompsan.enabled in
+  let san = Gpusim.Thread.sanitize ctx.Team.th in
   if san then san_set_actors team ~base ~num;
   for l = 0 to num - 1 do
     acc.(base + l) <- 0.0
@@ -357,16 +346,17 @@ let drive_fold ctx g ~group ~num ~trip =
 
 (* The classic barrier-per-round execution, starting after the entry
    rendezvous: each lane steps through its own rounds, parking on the
-   zero-cost lockstep barrier after every one.  Runs under
-   [OMPSIMD_LOCKSTEP=classic], under fault injection, and as the
-   fallback when a group's lanes diverge on the trip count. *)
+   zero-cost lockstep barrier after every one.  Runs under fault
+   injection and as the fallback when a group's lanes diverge on the
+   trip count. *)
 let classic_simd_rounds ctx ~id ~num ~trip f =
   let tid = ctx.Team.th.Gpusim.Thread.tid in
   (* Simd-loop iterations belong to the executing lane itself, not to
      the SPMD region's logical thread: restore per-tid attribution so
      the sanitizer can see lanes of one group racing on a cell. *)
   let prev_actor =
-    if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_actor ctx.Team.th tid
+    if Gpusim.Thread.sanitize ctx.Team.th then
+      Gpusim.Ompsan.set_actor ctx.Team.th tid
     else tid
   in
   (* Lockstep rounds: every lane steps through ceil(trip/num) rounds,
@@ -393,7 +383,7 @@ let classic_simd_rounds ctx ~id ~num ~trip f =
     end;
     Team.lockstep_align ctx
   done;
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitize ctx.Team.th then
     ignore (Gpusim.Ompsan.set_actor ctx.Team.th prev_actor);
   Gpusim.Thread.tick ctx.Team.th overhead
 
@@ -401,7 +391,7 @@ let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
   let prev_actor =
-    if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_actor th tid else tid
+    if Gpusim.Thread.sanitize th then Gpusim.Ompsan.set_actor th tid else tid
   in
   let overhead = step_cost ctx in
   let rounds = (trip + num - 1) / num in
@@ -425,7 +415,7 @@ let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
     end;
     Team.lockstep_align ctx
   done;
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitize th then
     ignore (Gpusim.Ompsan.set_actor th prev_actor);
   Gpusim.Thread.tick th overhead;
   !acc
@@ -483,7 +473,8 @@ let simd_loop ctx ~trip f =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then run_schedule ctx Static ~id:0 ~num:1 ~trip f
-  else if !fused && team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if team.Team.dyn_active = 0 && not (Gpusim.Thread.faults ctx.Team.th)
+  then
     fused_simd_loop ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;
@@ -517,7 +508,8 @@ let simd_fold_sum ctx ~trip (f : int -> float) =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then sequential_fold_sum ctx ~trip f
-  else if !fused && team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if team.Team.dyn_active = 0 && not (Gpusim.Thread.faults ctx.Team.th)
+  then
     fused_simd_fold ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;

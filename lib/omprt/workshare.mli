@@ -70,14 +70,16 @@ val simd_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
     dominant fiber-switch traffic of simd-heavy kernels; the simulated
     schedule is the canonical SIMT instruction order (same-round accesses
     share the coalescing window and the warp's atomic epoch).
-    [OMPSIMD_LOCKSTEP=classic] restores barrier-per-round execution;
-    fault-injected runs always use it so stall faults keep their park
-    points. *)
 
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_LOCKSTEP] ("fused", default, or "classic"); called
-    at every launch.
-    @raise Invalid_argument on any other value. *)
+    Barrier-per-round ({e classic}) execution remains for launches with
+    a fault plan armed (even all-zero: stall faults need its park
+    points) and for groups whose lanes disagree on the trip count.  The
+    paths are not bit-identical: the order-free counters (loads, stores,
+    atomics, DRAM bytes, warp and block barriers, calls) and output
+    memory agree — float sums in lane order (busy cycles, float atomics
+    into one cell) only to rounding — but time, LSU transactions and
+    line hits can differ (spmv spmd, scale 0.25, a100q: 11313 fused vs
+    10861 classic cycles). *)
 
 val sequential_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
 (** Plain sequential execution with loop-overhead costing; the degradation

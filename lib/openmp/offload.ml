@@ -1,9 +1,13 @@
+type sharing = Dynamic | Budget | Pinned of int
+
 type compiled = {
   program : Ompir.Outline.program;
   globalization : Ompir.Globalize.report list;
   region_modes : (string * Omprt.Mode.t) list;
   guards_inserted : int;
   may_races : Ompir.Racecheck.finding list;
+  engine : Ompir.Compile.engine;
+  sharing : sharing;
 }
 
 type knobs = {
@@ -11,71 +15,71 @@ type knobs = {
   fold : bool;
   racecheck : bool;
   passes : string;
+  engine : Ompir.Compile.engine;
+  sharing : sharing;
 }
 
 let default_knobs =
-  { guardize = false; fold = true; racecheck = false; passes = "" }
+  {
+    guardize = false;
+    fold = true;
+    racecheck = false;
+    passes = "";
+    engine = Ompir.Compile.Staged;
+    sharing = Dynamic;
+  }
 
-(* A blank [passes] spec defers to OMPSIMD_PASSES (per the Env
-   convention, unset and blank both mean "default"), so the env knob
-   flows through every call site — including the serve scheduler, whose
-   config carries [default_knobs] — without each one re-reading it.
-   Resolution happens in BOTH [cache_key] and [compile_with], so the key
-   and the artifact always agree and flipping the variable can never
-   alias a differently-optimized cached variant. *)
-let effective_passes knobs =
-  if knobs.passes <> "" then knobs.passes
-  else
-    match Ompsimd_util.Env.var "OMPSIMD_PASSES" with
-    | Some spec -> spec
-    | None -> ""
+let effective_passes (knobs : knobs) = knobs.passes
 
 (* The cache identity of a compilation: the content digest of the IR
-   plus every knob that changes what [compile] produces, plus the
-   evaluation engine (the staged evaluator and the walker are
-   bit-identical by contract, but a service replay pins the engine into
-   the key so switching OMPSIMD_EVAL can never alias a cached artifact
-   from the other engine). *)
-let cache_key_of_digest ~knobs digest =
+   plus every knob the artifact records — what [compile] produces, the
+   evaluation engine and the sharing-space policy [run] follows.  The
+   staged evaluator and the walker are bit-identical by contract, but a
+   service replay pins the engine into the key so switching engines can
+   never alias a cached artifact from the other one.  The sharing part
+   is empty under the default policy. *)
+let cache_key_of_digest ~(knobs : knobs) digest =
   let engine =
-    match Ompir.Compile.engine_of_env () with
+    match knobs.engine with
     | Ompir.Compile.Staged -> "staged"
     | Ompir.Compile.Walk -> "walk"
   in
   let passes =
     (* validate eagerly — a malformed spec must fail fast naming the
-       variable, not surface later as a compile of something else *)
-    let spec = effective_passes knobs in
-    ignore (Ompir.Passes.pipeline_of_spec spec);
-    match String.trim spec with "" -> "default" | s -> s
+       knob, not surface later as a compile of something else *)
+    ignore (Ompir.Passes.pipeline_of_spec knobs.passes);
+    match String.trim knobs.passes with "" -> "default" | s -> s
   in
-  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s" digest (Bool.to_int knobs.guardize)
+  let sharing =
+    match knobs.sharing with
+    | Dynamic -> ""
+    | Budget -> ":sbudget"
+    | Pinned n -> Printf.sprintf ":s%d" n
+  in
+  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s%s" digest (Bool.to_int knobs.guardize)
     (Bool.to_int knobs.fold) (Bool.to_int knobs.racecheck) passes engine
+    sharing
 
 let cache_key ?(knobs = default_knobs) kernel =
   cache_key_of_digest ~knobs (Ompir.Kdigest.hex kernel)
 
-let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
-    ?(passes = "") kernel =
+let compile_with ~(knobs : knobs) kernel =
   match Ompir.Check.kernel kernel with
   | Error es -> Error es
   | Ok () ->
       let pipeline =
-        if not fold then []
-        else
-          Ompir.Passes.pipeline_of_spec
-            (effective_passes { guardize; fold; racecheck; passes })
+        if not knobs.fold then [] else Ompir.Passes.pipeline_of_spec knobs.passes
       in
       match Ompir.Passes.run_verified pipeline kernel with
       | Error (_pass, es) -> Error es
       | Ok kernel ->
       let kernel, guards =
-        if guardize then Ompir.Spmdize.guardize kernel else (kernel, 0)
+        if knobs.guardize then Ompir.Spmdize.guardize kernel else (kernel, 0)
       in
       (* the static ompsan layer analyzes the kernel the device will run:
          after folding and guardization, before outlining *)
       let may_races =
-        if racecheck then Ompir.Racecheck.check_kernel kernel else []
+        if knobs.racecheck then Ompir.Racecheck.check_kernel kernel else []
       in
       let program = Ompir.Outline.run kernel in
       Ok
@@ -85,11 +89,14 @@ let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
           region_modes = Ompir.Spmdize.analyze kernel;
           guards_inserted = guards;
           may_races;
+          engine = knobs.engine;
+          sharing = knobs.sharing;
         }
 
-let compile_with ~knobs kernel =
-  compile ~guardize:knobs.guardize ~fold:knobs.fold ~racecheck:knobs.racecheck
-    ~passes:knobs.passes kernel
+let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
+    ?(passes = "") kernel =
+  compile_with ~knobs:{ default_knobs with guardize; fold; racecheck; passes }
+    kernel
 
 let remarks c =
   let outlined =
@@ -148,32 +155,22 @@ let remarks c =
    whose payloads outgrow the budget degrades to the same global
    fallbacks it always had.
 
-   [OMPSIMD_SHARING_BYTES] pins the reservation to an explicit byte
-   count; [OMPSIMD_SHARING_DYNAMIC=0] disables the heuristic and uses
-   the budget unchanged.  Sizing is a launch-time decision, not a
-   compile-time one: it deliberately stays out of {!cache_key}. *)
-let sharing_reservation ~budget ~num_threads ~simd_len program =
-  match Ompsimd_util.Env.int "OMPSIMD_SHARING_BYTES" ~default:0 with
-  | v when v > 0 -> v
-  | v when v < 0 ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_SHARING_BYTES must be positive, got %d" v)
-  | _ ->
-      if not (Ompsimd_util.Env.flag "OMPSIMD_SHARING_DYNAMIC" ~default:true)
-      then budget
-      else
-        let footprint = Ompir.Globalize.footprint_bytes program in
-        let publishers = (num_threads / max 1 simd_len) + 1 in
-        max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
+   [Pinned n] pins the reservation to [n] bytes; [Budget] disables the
+   heuristic and uses the budget unchanged. *)
+let sharing_reservation ~sharing ~budget ~num_threads ~simd_len program =
+  match sharing with
+  | Pinned n -> n
+  | Budget -> budget
+  | Dynamic ->
+      let footprint = Ompir.Globalize.footprint_bytes program in
+      let publishers = (num_threads / max 1 simd_len) + 1 in
+      max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
 
-let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
-  Gpusim.Ompsan.refresh_from_env ();
-  Gpusim.Fault.refresh_from_env ();
-  if !Gpusim.Ompsan.enabled then
-    Gpusim.Ompsan.set_kernel c.program.Ompir.Outline.kernel.Ompir.Ir.kname;
+let run ~cfg ?run ?trace ?(clauses = Clause.none) ~bindings (c : compiled) =
   let params, _, simdlen = Clause.resolve ~cfg clauses in
   let sharing_bytes =
-    sharing_reservation ~budget:params.Omprt.Team.sharing_bytes
+    sharing_reservation ~sharing:c.sharing
+      ~budget:params.Omprt.Team.sharing_bytes
       ~num_threads:params.Omprt.Team.num_threads ~simd_len:simdlen c.program
   in
   let parallel_mode =
@@ -191,8 +188,19 @@ let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
       sharing_bytes;
     }
   in
-  match Ompir.Compile.engine_of_env () with
-  | Ompir.Compile.Staged ->
-      Ompir.Compile.run ~cfg ?pool ?trace ~options ~bindings c.program
-  | Ompir.Compile.Walk ->
-      Ompir.Eval.run ~cfg ?pool ?trace ~options ~bindings c.program
+  let report =
+    match c.engine with
+    | Ompir.Compile.Staged ->
+        Ompir.Compile.run ~cfg ?run ?trace ~options ~bindings c.program
+    | Ompir.Compile.Walk ->
+        Ompir.Eval.run ~cfg ?run ?trace ~options ~bindings c.program
+  in
+  (* the launch knows the kernel's name; the device report does not *)
+  match report.Gpusim.Device.sanitizer with
+  | None -> report
+  | Some san ->
+      let kernel = c.program.Ompir.Outline.kernel.Ompir.Ir.kname in
+      {
+        report with
+        Gpusim.Device.sanitizer = Some { san with Gpusim.Ompsan.kernel };
+      }

@@ -6,6 +6,10 @@
     Diagnostics mirror what a compiler would print with optimization
     remarks enabled. *)
 
+(** How {!run} sizes the per-team sharing space; see
+    {!sharing_reservation}. *)
+type sharing = Dynamic | Budget | Pinned of int
+
 type compiled = {
   program : Ompir.Outline.program;
   globalization : Ompir.Globalize.report list;
@@ -16,6 +20,8 @@ type compiled = {
   may_races : Ompir.Racecheck.finding list;
       (** static may-race findings (empty unless compiled with
           [~racecheck:true]) *)
+  engine : Ompir.Compile.engine;  (** the evaluator {!run} uses *)
+  sharing : sharing;  (** how {!run} sizes the sharing space *)
 }
 
 type knobs = {
@@ -24,29 +30,28 @@ type knobs = {
   racecheck : bool;
   passes : string;
       (** optimization-pipeline spec ({!Ompir.Passes.pipeline_of_spec});
-          [""] defers to the [OMPSIMD_PASSES] environment variable, and a
-          blank variable means {!Ompir.Passes.default_pipeline} *)
+          [""] means {!Ompir.Passes.default_pipeline} *)
+  engine : Ompir.Compile.engine;
+  sharing : sharing;
 }
-(** The compile-relevant knobs, bundled so cache layers can key on
-    them; see {!cache_key}. *)
+(** Everything that shapes an artifact and how it runs, bundled so cache
+    layers key on the same value the artifact records ({!cache_key}). *)
 
 val default_knobs : knobs
-(** [{ guardize = false; fold = true; racecheck = false; passes = "" }]
-    — the defaults of {!compile}. *)
+(** [{ guardize = false; fold = true; racecheck = false; passes = "";
+    engine = Staged; sharing = Dynamic }] — the defaults of {!compile}. *)
 
 val effective_passes : knobs -> string
-(** The pipeline spec a compilation with [knobs] will actually run:
-    [knobs.passes], or the [OMPSIMD_PASSES] environment variable when
-    that is blank ([""] when both are). *)
+(** The pipeline spec a compilation with [knobs] runs: [knobs.passes]
+    ([""] is the default pipeline). *)
 
 val cache_key : ?knobs:knobs -> Ompir.Ir.kernel -> string
 (** The identity of a compilation for caching: content digest of the
-    kernel ({!Ompir.Kdigest}), the knobs — with the pipeline spec
-    resolved through {!effective_passes}, so an optimized variant is a
-    distinct tier-2 artifact and flipping [OMPSIMD_PASSES] can never
-    alias a cached kernel compiled under a different pipeline — and the
-    engine selected by [OMPSIMD_EVAL].  Two calls return equal keys iff
-    [compile_with] would produce an interchangeable artifact.
+    kernel ({!Ompir.Kdigest}) and every knob the artifact records — the
+    pipeline spec (an optimized variant is a distinct tier-2 artifact),
+    the engine, and the sharing policy unless [Dynamic].  Two calls
+    return equal keys iff [compile_with] would produce an
+    interchangeable artifact.
     @raise Invalid_argument on a malformed pipeline spec; the message
     names [OMPSIMD_PASSES] and the offending item. *)
 
@@ -73,8 +78,7 @@ val compile :
     guard blocks so the regions become SPMD-safe — the paper's §7 plan for
     SPMDizing parallel regions.  [fold] (default true) runs the
     optimization pipeline before outlining: the spec in [passes] (default
-    [""], deferring to [OMPSIMD_PASSES], which blank means
-    {!Ompir.Passes.default_pipeline}), applied through
+    [""], meaning {!Ompir.Passes.default_pipeline}), applied through
     {!Ompir.Passes.run_verified} so a pass that broke well-formedness
     surfaces as a compile error instead of a miscompile.  [fold:false]
     disables the pipeline entirely.  [racecheck] (default false)
@@ -89,6 +93,7 @@ val remarks : compiled -> string list
     payloads, globalized variables, chosen execution modes. *)
 
 val sharing_reservation :
+  sharing:sharing ->
   budget:int ->
   num_threads:int ->
   simd_len:int ->
@@ -100,13 +105,12 @@ val sharing_reservation :
     {!Omprt.Sharing.min_bytes} and capped at [budget] (the clause or
     default reservation) — shrink-only, so dynamic sizing can reclaim
     shared memory but never introduce fallbacks the budget would have
-    avoided.  [OMPSIMD_SHARING_BYTES] pins an explicit byte count;
-    [OMPSIMD_SHARING_DYNAMIC=0] returns [budget] unchanged.  A
-    launch-time decision, deliberately outside {!cache_key}. *)
+    avoided.  That is the [Dynamic] policy; [Pinned n] returns [n] and
+    [Budget] returns [budget] unchanged. *)
 
 val run :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?clauses:Clause.t ->
   bindings:(string * Ompir.Eval.binding) list ->
@@ -114,6 +118,8 @@ val run :
   Gpusim.Device.report
 (** Execute on the device.  Unless the clauses force a parallel mode, each
     region uses its SPMD-ization verdict — SPMD when tightly nested,
-    generic otherwise (§3.2).  Re-reads [OMPSIMD_SANITIZE] on entry: when
-    the sanitizer is enabled the returned report carries
-    [sanitizer = Some _] with any dynamic findings. *)
+    generic otherwise (§3.2).  The artifact's [engine] evaluates it and
+    its [sharing] policy sizes the sharing space.  [run] (default
+    {!Gpusim.Run.default}) carries the launch settings: when it turns the
+    sanitizer on, the returned report carries [sanitizer = Some _],
+    stamped with the kernel's name, with any dynamic findings. *)

@@ -23,13 +23,6 @@ type config = {
 
 val disabled : config
 
-val config_of_env :
-  slo:float option -> shards:int -> servers:int -> unit -> config
-(** [disabled] when no SLO is set; otherwise enabled unless
-    [OMPSIMD_SERVE_AUTOSCALE=0], with [OMPSIMD_SERVE_BUDGET] pool
-    tokens (default [2 * shards]), a [3 * servers] per-shard cap and an
-    [OMPSIMD_SERVE_COOLDOWN]-window cooldown (default 2). *)
-
 type verdict = Grow | Shrink | Hold
 
 type stat = {

@@ -62,7 +62,6 @@
 
 module Offload = Openmp.Offload
 module Clause = Openmp.Clause
-module Env = Ompsimd_util.Env
 module Counters = Gpusim.Counters
 
 type config = {
@@ -87,68 +86,6 @@ type config = {
          than this age back toward "unmeasured" so a nonstationary
          trace re-explores; 0 = remember forever (the pre-decay table) *)
 }
-
-let parse_tenants spec =
-  String.split_on_char ',' spec
-  |> List.filter_map (fun tok ->
-         let tok = String.trim tok in
-         if tok = "" then None
-         else
-           match String.index_opt tok '=' with
-           | None -> Some (tok, 1)
-           | Some i -> (
-               let name = String.sub tok 0 i in
-               let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-               match int_of_string_opt v with
-               | Some w when w >= 1 && name <> "" -> Some (name, w)
-               | _ ->
-                   invalid_arg
-                     (Printf.sprintf
-                        "OMPSIMD_SERVE_TENANTS: token %S is not name=weight"
-                        tok)))
-
-(* OMPSIMD_FLEET_DEVICES is a comma-separated list of zoo names (no
-   key=value overrides — a comma already separates shards), resolved
-   and validated up front so a misspelt device fails the replay before
-   any request moves. *)
-let parse_devices spec =
-  String.split_on_char ',' spec
-  |> List.filter_map (fun tok ->
-         let tok = String.trim tok in
-         if tok = "" then None
-         else
-           match Gpusim.Zoo.resolve tok with
-           | Ok cfg -> Some cfg
-           | Error msg ->
-               invalid_arg (Printf.sprintf "OMPSIMD_FLEET_DEVICES: %s" msg))
-
-let config_of_env ~cfg () =
-  let base = Service.config_of_env ~cfg () in
-  let shards = Env.int "OMPSIMD_SERVE_SHARDS" ~default:4 in
-  {
-    base;
-    shards;
-    batch = Env.int "OMPSIMD_SERVE_BATCH" ~default:8;
-    steal = Env.flag "OMPSIMD_SERVE_STEAL" ~default:true;
-    memo = Env.flag "OMPSIMD_SERVE_MEMO" ~default:true;
-    tenants =
-      (match Env.var "OMPSIMD_SERVE_TENANTS" with
-      | None -> []
-      | Some spec -> parse_tenants spec);
-    devices =
-      (match Env.var "OMPSIMD_FLEET_DEVICES" with
-      | None -> []
-      | Some spec -> parse_devices spec);
-    affinity = Env.flag "OMPSIMD_FLEET_AFFINITY" ~default:true;
-    (* the env knob carries the stream's destination path (the CLI
-       writes it); its presence is what turns collection on *)
-    telemetry = Env.var "OMPSIMD_SERVE_TELEMETRY" <> None;
-    shed = Env.flag "OMPSIMD_SERVE_SHED" ~default:true;
-    autoscale =
-      Autoscale.config_of_env ~slo:base.Service.slo ~shards
-        ~servers:base.Service.servers ();
-    decay = Env.int "OMPSIMD_FLEET_DECAY" ~default:0;
-  }
 
 let weight_of conf tenant =
   match List.assoc_opt tenant conf.tenants with
@@ -324,13 +261,13 @@ type result = {
 let merge_overhead = 64.0
 
 (* Fault identity of a member launch: a pure function of (request,
-   attempt), pinned via {!Gpusim.Fault.with_nonce} so placement, batch
+   attempt), pinned via {!Gpusim.Run.pin} so placement, batch
    shape and dispatch order can never change what a request draws. *)
 let nonce_for (spec : Request.spec) ~launches = 1 + (spec.Request.id * 1021) + launches
 
 (* --- the fleet loop ----------------------------------------------------- *)
 
-let run conf ?pool specs =
+let run conf ?(run = Gpusim.Run.default) specs =
   if conf.shards < 1 then invalid_arg "Fleet.run: shards must be >= 1";
   if conf.batch < 1 then invalid_arg "Fleet.run: batch must be >= 1";
   let base = conf.base in
@@ -343,8 +280,6 @@ let run conf ?pool specs =
   if base.Service.window <= 0.0 then
     invalid_arg "Fleet.run: window must be > 0";
   if conf.decay < 0 then invalid_arg "Fleet.run: negative affinity decay";
-  Gpusim.Fault.refresh_from_env ();
-  Gpusim.Fault.reset ();
   (* heterogeneity: each shard carries a device config, the [devices]
      list cycled across shard ids; [] keeps the pre-zoo homogeneous
      fleet on the base device.  Every config re-validates here so a
@@ -569,7 +504,7 @@ let run conf ?pool specs =
   let compiling : (string, float) Hashtbl.t = Hashtbl.create 16 in
   (* content-keyed launch memo; only consulted with faults disarmed *)
   let memo : (string, member) Hashtbl.t = Hashtbl.create 64 in
-  let memo_armed () = !Gpusim.Fault.armed in
+  let memo_armed = Gpusim.Run.armed run in
   (* Both key strings are pure functions of (template, size, guardize)
      under this run's fixed knobs, and both start from the instantiated
      IR's digest — which unrolls with the size on chain-style kernels
@@ -822,13 +757,9 @@ let run conf ?pool specs =
         |> num_threads spec.Request.threads
         |> simdlen spec.Request.simdlen)
     in
-    let launch () =
-      match Offload.run ~cfg ?pool ~clauses ~bindings compiled with
-      | report -> `Report report
-      | exception Gpusim.Engine.Deadlock _ -> `Hung
-    in
-    match Gpusim.Fault.with_nonce (nonce_for spec ~launches:p.launches) launch with
-    | `Report report ->
+    let run = Gpusim.Run.pin run (nonce_for spec ~launches:p.launches) in
+    match Offload.run ~cfg ~run ~clauses ~bindings compiled with
+    | report ->
         {
           m_pending = { p with launches = p.launches + 1 };
           m_exec = report.Gpusim.Device.time_cycles;
@@ -838,7 +769,7 @@ let run conf ?pool specs =
           m_counters = report.Gpusim.Device.counters;
           m_faults = report.Gpusim.Device.faults;
         }
-    | `Hung ->
+    | exception Gpusim.Engine.Deadlock _ ->
         {
           m_pending = { p with launches = p.launches + 1 };
           m_exec = 0.0;
@@ -856,7 +787,7 @@ let run conf ?pool specs =
        zoo config, occupancy and counters) are functions of the device,
        so a result observed on one config must never serve another *)
     let mkey = p.mkey ^ "|" ^ cfg.Gpusim.Config.name in
-    if conf.memo && not (memo_armed ()) then
+    if conf.memo && not memo_armed then
       match Hashtbl.find_opt memo mkey with
       | Some m ->
           incr memo_hits;

@@ -88,26 +88,6 @@ type config = {
           traffic re-explores; 0 keeps the all-time minima *)
 }
 
-val parse_tenants : string -> (string * int) list
-(** Parse ["alice=3,bob=1"] (a bare name means weight 1).
-    @raise Invalid_argument on a malformed token. *)
-
-val parse_devices : string -> Gpusim.Config.t list
-(** Parse a comma-separated list of {!Gpusim.Zoo} names
-    (["w32-hw,w64-sw"]) into per-shard device configs.
-    @raise Invalid_argument naming the unknown device. *)
-
-val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** {!Service.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 4),
-    [OMPSIMD_SERVE_BATCH] (8), [OMPSIMD_SERVE_STEAL] (1),
-    [OMPSIMD_SERVE_MEMO] (1), [OMPSIMD_SERVE_TENANTS] (empty),
-    [OMPSIMD_FLEET_DEVICES] (empty = homogeneous),
-    [OMPSIMD_FLEET_AFFINITY] (1), [OMPSIMD_FLEET_DECAY] (0),
-    [OMPSIMD_SERVE_TELEMETRY] (unset; its presence — the CLI treats the
-    value as the stream's destination path — turns collection on),
-    [OMPSIMD_SERVE_SHED] (1) and the {!Autoscale.config_of_env} knobs
-    derived from the base config's [OMPSIMD_SERVE_SLO_MS]. *)
-
 val weight_of : config -> string -> int
 (** The tenant's fair-admission weight (>= 1; unknown tenants weigh 1). *)
 
@@ -175,9 +155,11 @@ val nonce_for : Request.spec -> launches:int -> int
 (** The pinned fault nonce of a member launch: a pure function of
     (request id, prior launches). *)
 
-val run : config -> ?pool:Gpusim.Pool.t -> Request.spec list -> result
-(** Replay a trace through the fleet.  @raise Invalid_argument on a
-    non-positive shard or batch count (and the base config checks). *)
+val run : config -> ?run:Gpusim.Run.t -> Request.spec list -> result
+(** Replay a trace through the fleet under [run]'s launch settings
+    (default {!Gpusim.Run.default}), every member launch pinned to its
+    {!nonce_for}.  @raise Invalid_argument on a non-positive shard or
+    batch count (and the base config checks). *)
 
 val report_line : rq_report -> string
 val report_json : rq_report -> string

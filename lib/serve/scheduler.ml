@@ -27,7 +27,7 @@ type rq_report = Fleet.rq_report = {
   counters : Gpusim.Counters.t;
 }
 
-let run conf ?pool specs =
+let run conf ?run specs =
   let res =
     Fleet.run
       {
@@ -44,7 +44,7 @@ let run conf ?pool specs =
         autoscale = Autoscale.disabled;
         decay = 0;
       }
-      ?pool specs
+      ?run specs
   in
   (res.Fleet.reports, res.Fleet.metrics)
 

@@ -48,9 +48,6 @@ type config = Service.config = {
   knobs : Openmp.Offload.knobs;
 }
 
-val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** {!Service.config_of_env}. *)
-
 val compile_cost : Ompir.Ir.kernel -> float
 (** {!Service.compile_cost}. *)
 
@@ -74,20 +71,21 @@ type rq_report = Fleet.rq_report = {
 
 val run :
   config ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   Request.spec list ->
   rq_report list * Metrics.t
 (** Replay the trace to completion through the one-shard fleet.
-    Reports come back in request-id order.
+    Reports come back in request-id order.  [run] (default
+    {!Gpusim.Run.default}) carries the launch settings.
 
-    Device failures (failed blocks under an armed [OMPSIMD_FAULTS]
-    plan, an over-budget [OMPSIMD_WATCHDOG] finding, or an escaped
-    divergence deadlock) are retryable: the request is relaunched with
-    exponential backoff — reusing the cached compile artifact and
-    bypassing the admission bound — until it completes or exhausts
-    [max_retries] launches, when it reports {!Degraded}.  Every launch
-    pins its {!Gpusim.Fault} nonce to (request id, attempt), so the
-    same trace under the same fault seed injects the identical faults.
+    Device failures (failed blocks under the run's fault plan, an
+    over-budget watchdog finding, or an escaped divergence deadlock)
+    are retryable: the request is relaunched with exponential backoff —
+    reusing the cached compile artifact and bypassing the admission
+    bound — until it completes or exhausts [max_retries] launches, when
+    it reports {!Degraded}.  Every launch pins its fault nonce to
+    (request id, attempt), so the same trace under the same fault seed
+    injects the identical faults.
 
     With [slo] set, arrivals of the lowest priority class (and of a
     tenant over its fair share of the queue) are shed as {!Shed_slo}

@@ -51,14 +51,5 @@ type config = {
   knobs : Openmp.Offload.knobs;  (** guardize is overridden per request *)
 }
 
-val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** Defaults overridable by the [OMPSIMD_SERVE_QUEUE] (16),
-    [OMPSIMD_SERVE_CONC] (2), [OMPSIMD_SERVE_CACHE] (32),
-    [OMPSIMD_SERVE_RETRIES] (2), [OMPSIMD_SERVE_BACKOFF] (500),
-    [OMPSIMD_SERVE_BREAKER] (4), [OMPSIMD_SERVE_SLO_MS] (unset; a
-    positive millisecond value, 1 ms = 1000 ticks) and
-    [OMPSIMD_SERVE_WINDOW] (20000 ticks) environment knobs — blank
-    values mean default, as everywhere. *)
-
 val compile_cost : Ompir.Ir.kernel -> float
 (** The virtual compile charge: 200 + 25 ticks per IR node. *)

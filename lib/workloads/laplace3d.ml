@@ -52,7 +52,7 @@ let reference t =
   done;
   out
 
-let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
+let run ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 216)
     ?(threads = 128) ?(dedup = false) ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.unew);
   let n = t.shape.n in
@@ -84,7 +84,7 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
     else None
   in
   let report =
-    Target.launch ~cfg ?pool ?trace ?block_class ~params
+    Target.launch ~cfg ?run ?trace ?block_class ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
@@ -109,8 +109,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
   in
   { Harness.report; output = Memory.to_float_array t.unew }
 
-let run_no_simd ~cfg ?pool ?num_teams ?threads ?dedup t =
-  run ~cfg ?pool ?num_teams ?threads ?dedup
+let run_no_simd ~cfg ?run:launch_run ?num_teams ?threads ?dedup t =
+  run ~cfg ?run:launch_run ?num_teams ?threads ?dedup
     ~mode3:(Harness.spmd_simd ~group_size:1) t
 
 let verify t output =

@@ -21,7 +21,7 @@ val reference : instance -> float array
 
 val run :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->
@@ -30,7 +30,8 @@ val run :
   mode3:Harness.mode3 ->
   instance ->
   Harness.run
-(** [pool] simulates teams on several host domains; [dedup] (default
+(** [run] carries the launch settings (its pool simulates teams on
+    several host domains); [dedup] (default
     false) declares the Jacobi grid homogeneous — teams are classed by
     their distribute-chunk length over the flattened (i,j) interior
     ({!Omprt.Workshare.distribute_extent}).  Neither changes the report;
@@ -39,7 +40,7 @@ val run :
 
 val run_no_simd :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?num_teams:int ->
   ?threads:int ->
   ?dedup:bool ->

@@ -73,7 +73,7 @@ let reference_interpol t =
   done;
   out
 
-let launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mode3) t body =
+let launch ~cfg ?run ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mode3) t body =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.output);
   Memory.fill t.output 0.0;
   let params =
@@ -89,7 +89,7 @@ let launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mod
   in
   let s = t.shape in
   let report =
-    Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ?run ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:(s.ni * s.nj)
@@ -101,17 +101,17 @@ let launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mod
   in
   { Harness.report; output = Memory.to_float_array t.output }
 
-let run_transpose ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216) ?(threads = 128) ~mode3 t =
+let run_transpose ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 216) ?(threads = 128) ~mode3 t =
   let s = t.shape in
-  launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~mode3 t (fun ctx ~i ~j ~k ->
+  launch ~cfg ?run ?trace ~reset_l2 ~num_teams ~threads ~mode3 t (fun ctx ~i ~j ~k ->
       let th = ctx.Team.th in
       let v = Memory.fget t.input th (in_idx s ~i ~j ~k) in
       Team.charge_alu ctx 2 (* index arithmetic *);
       Memory.fset t.output th (tr_idx s ~i ~j ~k) v)
 
-let run_interpol ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216) ?(threads = 128) ~mode3 t =
+let run_interpol ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 216) ?(threads = 128) ~mode3 t =
   let s = t.shape in
-  launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~mode3 t (fun ctx ~i ~j ~k ->
+  launch ~cfg ?run ?trace ~reset_l2 ~num_teams ~threads ~mode3 t (fun ctx ~i ~j ~k ->
       let th = ctx.Team.th in
       let at k' =
         Memory.fget t.input th (in_idx s ~i ~j ~k:(clamp 0 (s.nk - 1) k'))

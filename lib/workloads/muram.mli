@@ -20,7 +20,7 @@ val reference_interpol : instance -> float array
 
 val run_transpose :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->
@@ -31,7 +31,7 @@ val run_transpose :
 
 val run_interpol :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->

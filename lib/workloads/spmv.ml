@@ -130,7 +130,7 @@ let element ctx ~k ~row t =
 let result t report =
   { Harness.report; output = Memory.to_float_array t.y }
 
-let run_two_level ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 32) t =
+let run_two_level ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 32) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.y);
   Memory.fill t.y 0.0;
   let params =
@@ -143,7 +143,7 @@ let run_two_level ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(thre
   in
   let payload = payload_of t in
   let report =
-    Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ?run ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         (* teams distribute over rows: the team main walks its rows and
            opens a parallel region per row (generic teams mode). *)
         Workshare.distribute ctx ~trip:t.shape.rows (fun row ->
@@ -157,7 +157,7 @@ let run_two_level ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(thre
   in
   result t report
 
-let run_simd ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 128)
+let run_simd ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 128)
     ?(schedule = Workshare.Static) ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.y);
   Memory.fill t.y 0.0;
@@ -171,7 +171,7 @@ let run_simd ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads =
   in
   let payload = payload_of t in
   let report =
-    Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ?run ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~schedule ~trip:t.shape.rows
@@ -184,7 +184,7 @@ let run_simd ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads =
   in
   result t report
 
-let run_simd_reduction ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 128)
+let run_simd_reduction ~cfg ?run ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads = 128)
     ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.y);
   Memory.fill t.y 0.0;
@@ -198,7 +198,7 @@ let run_simd_reduction ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?
   in
   let payload = payload_of t in
   let report =
-    Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ?run ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:t.shape.rows

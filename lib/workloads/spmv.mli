@@ -43,7 +43,7 @@ val reference : instance -> float array
 
 val run_two_level :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->
@@ -51,13 +51,13 @@ val run_two_level :
   instance ->
   Harness.run
 (** [reset_l2] defaults to [true] (cold caches); pass [false] to measure
-    a warm re-run, the paper's average-of-10 methodology.  [pool] fans
+    a warm re-run, the paper's average-of-10 methodology.  [run]'s pool fans
     the teams over host domains; row lengths are data-dependent, so spmv
     never declares a [block_class] — every block simulates. *)
 
 val run_simd :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->
@@ -72,7 +72,7 @@ val run_simd :
 
 val run_simd_reduction :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->

@@ -24,7 +24,7 @@ val reference : instance -> float array
 
 val run :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?trace:Gpusim.Trace.t ->
   ?reset_l2:bool ->
   ?num_teams:int ->
@@ -34,7 +34,7 @@ val run :
   instance ->
   Harness.run
 (** Three-level kernel; [group_size = 1] reproduces the serial-inner-loop
-    baseline.  [pool] simulates teams on several host domains; [dedup]
+    baseline.  [run]'s pool simulates teams on several host domains; [dedup]
     (default false) declares the grid homogeneous — teams are classed by
     (chunk extent, first-site parity), the parity capturing the line
     phase of the 576-byte site records.  Neither changes the report;
@@ -43,7 +43,7 @@ val run :
 
 val run_two_level :
   cfg:Gpusim.Config.t ->
-  ?pool:Gpusim.Pool.t ->
+  ?run:Gpusim.Run.t ->
   ?num_teams:int ->
   ?threads:int ->
   ?dedup:bool ->

@@ -1,11 +1,11 @@
 (* Runtest tier for the OMPSIMD_EVAL switch: drive small kernels
    end-to-end through the compile-and-offload pipeline under both
    evaluator engines — the reference tree walker and the staged
-   compiler — selected exactly the way a user selects them (the
-   environment variable, read at launch time), and require bit-identical
-   results.  This covers the offload.ml dispatch itself, which the
-   in-process differential tests bypass by calling the engines
-   directly. *)
+   compiler — selected exactly the way a user selects them
+   (OMPSIMD_EVAL, through the settings parser into the offload knobs
+   the compiled artifact records), and require bit-identical results.
+   This covers the offload.ml dispatch itself, which the in-process
+   differential tests bypass by calling the engines directly. *)
 
 module Ir = Ompir.Ir
 module Eval = Ompir.Eval
@@ -123,7 +123,11 @@ let src_val i = float_of_int (i mod 11) *. 0.25
 let src_host = Array.init (rows * len) src_val
 
 let run_with_engine ~kernel ~passes engine =
-  Unix.putenv "OMPSIMD_EVAL" engine;
+  let knobs =
+    (Settings.of_lookup (fun k ->
+         if k = "OMPSIMD_EVAL" then Some engine else None))
+      .Settings.knobs
+  in
   let cfg = Gpusim.Config.small in
   let space = Memory.space () in
   let src = Memory.of_float_array space src_host in
@@ -136,7 +140,7 @@ let run_with_engine ~kernel ~passes engine =
       ("len", Eval.B_int len);
     ]
   in
-  match Offload.compile ~passes kernel with
+  match Offload.compile_with ~knobs:{ knobs with Offload.passes } kernel with
   | Error es ->
       failwith
         (Printf.sprintf "dual_engine: %s failed to compile: %s" kernel.Ir.kname

@@ -172,7 +172,7 @@ let hetero_stage () =
      result. *)
   let n = 20_000 in
   let specs = Traffic.(generate (preset "mixed" ~n ~seed:1337)) in
-  let devices = Fleet.parse_devices "w32-hw,w32-sw,w32-hw,w32-sw" in
+  let devices = Settings.parse_devices "w32-hw,w32-sw,w32-hw,w32-sw" in
   let conf = fconf ~shards:4 ~batch:8 ~devices () in
   let t0 = Unix.gettimeofday () in
   let res = Fleet.run conf specs in
@@ -224,7 +224,7 @@ let hetero_stage () =
      must not move a byte (placement keys on device names, not sids) *)
   let shuffled =
     Fleet.run
-      { conf with Fleet.devices = Fleet.parse_devices "w32-sw,w32-hw,w32-sw,w32-hw" }
+      { conf with Fleet.devices = Settings.parse_devices "w32-sw,w32-hw,w32-sw,w32-hw" }
       specs
   in
   if
@@ -287,83 +287,78 @@ let breaker_stage () =
      against the seed device): chain launches fail deterministically,
      everything else is untouched.  Stealing off pins chain to its home
      shard, so exactly one breaker may open. *)
-  Unix.putenv "OMPSIMD_WATCHDOG" "8000";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "OMPSIMD_WATCHDOG" "";
-      Gpusim.Fault.refresh_from_env ())
-    (fun () ->
-      let spec i ~at kernel size =
-        {
-          Request.default_spec with
-          Request.id = i;
-          at;
-          kernel;
-          size;
-          teams = 1;
-          threads = 32;
-          seed = 1 + (i mod 3);
-        }
-      in
-      let specs =
-        List.init 40 (fun i ->
-            let at = float_of_int i *. 25_000.0 in
-            if i mod 4 = 0 then spec i ~at "chain" 384
-            else
-              spec i ~at
-                (List.nth [ "saxpy"; "rowsum"; "stencil" ] (i mod 3))
-                48)
-      in
-      let res =
-        Fleet.run
-          (fconf ~shards:4 ~batch:1 ~steal:false ~memo:false ~retries:1
-             ~breaker:3 ())
-          specs
-      in
-      let chain, rest =
-        List.partition
-          (fun (r : Fleet.rq_report) -> r.Fleet.spec.Request.kernel = "chain")
-          res.Fleet.reports
-      in
-      List.iter
-        (fun (r : Fleet.rq_report) ->
-          if r.Fleet.outcome <> Scheduler.Degraded then
-            fail "breaker: chain request %d ended %s, expected degraded"
-              r.Fleet.spec.Request.id
-              (Scheduler.outcome_to_string r.Fleet.outcome))
-        chain;
-      List.iter
-        (fun (r : Fleet.rq_report) ->
-          if r.Fleet.outcome <> Scheduler.Completed then
-            fail "breaker: bystander %s request %d ended %s"
-              r.Fleet.spec.Request.kernel r.Fleet.spec.Request.id
-              (Scheduler.outcome_to_string r.Fleet.outcome))
-        rest;
-      let chain_shards =
-        List.sort_uniq compare
-          (List.map (fun (r : Fleet.rq_report) -> r.Fleet.shard) chain)
-      in
-      (match chain_shards with
-      | [ _ ] -> ()
-      | l ->
-          fail "breaker: chain executed on %d shards without stealing"
-            (List.length l));
-      let open_shards =
-        List.filter
-          (fun (s : Metrics.shard_stats) -> s.Metrics.s_breaker_opens > 0)
-          res.Fleet.shard_stats
-      in
-      (match (open_shards, chain_shards) with
-      | [ s ], [ home ] when s.Metrics.shard = home -> ()
-      | _ ->
-          fail
-            "breaker: expected exactly chain's home shard to open, got %d \
-             open shard(s)"
-            (List.length open_shards));
-      if res.Fleet.metrics.Metrics.breaker_opens < 1 then
-        fail "breaker: never opened";
-      if res.Fleet.metrics.Metrics.faults_watchdogs = 0 then
-        fail "breaker: the watchdog never fired")
+  let run = Gpusim.Run.make ~watchdog:8000.0 () in
+    let spec i ~at kernel size =
+      {
+        Request.default_spec with
+        Request.id = i;
+        at;
+        kernel;
+        size;
+        teams = 1;
+        threads = 32;
+        seed = 1 + (i mod 3);
+      }
+    in
+    let specs =
+      List.init 40 (fun i ->
+          let at = float_of_int i *. 25_000.0 in
+          if i mod 4 = 0 then spec i ~at "chain" 384
+          else
+            spec i ~at
+              (List.nth [ "saxpy"; "rowsum"; "stencil" ] (i mod 3))
+              48)
+    in
+    let res =
+      Fleet.run
+        (fconf ~shards:4 ~batch:1 ~steal:false ~memo:false ~retries:1
+           ~breaker:3 ())
+        ~run specs
+    in
+    let chain, rest =
+      List.partition
+        (fun (r : Fleet.rq_report) -> r.Fleet.spec.Request.kernel = "chain")
+        res.Fleet.reports
+    in
+    List.iter
+      (fun (r : Fleet.rq_report) ->
+        if r.Fleet.outcome <> Scheduler.Degraded then
+          fail "breaker: chain request %d ended %s, expected degraded"
+            r.Fleet.spec.Request.id
+            (Scheduler.outcome_to_string r.Fleet.outcome))
+      chain;
+    List.iter
+      (fun (r : Fleet.rq_report) ->
+        if r.Fleet.outcome <> Scheduler.Completed then
+          fail "breaker: bystander %s request %d ended %s"
+            r.Fleet.spec.Request.kernel r.Fleet.spec.Request.id
+            (Scheduler.outcome_to_string r.Fleet.outcome))
+      rest;
+    let chain_shards =
+      List.sort_uniq compare
+        (List.map (fun (r : Fleet.rq_report) -> r.Fleet.shard) chain)
+    in
+    (match chain_shards with
+    | [ _ ] -> ()
+    | l ->
+        fail "breaker: chain executed on %d shards without stealing"
+          (List.length l));
+    let open_shards =
+      List.filter
+        (fun (s : Metrics.shard_stats) -> s.Metrics.s_breaker_opens > 0)
+        res.Fleet.shard_stats
+    in
+    (match (open_shards, chain_shards) with
+    | [ s ], [ home ] when s.Metrics.shard = home -> ()
+    | _ ->
+        fail
+          "breaker: expected exactly chain's home shard to open, got %d \
+           open shard(s)"
+          (List.length open_shards));
+    if res.Fleet.metrics.Metrics.breaker_opens < 1 then
+      fail "breaker: never opened";
+    if res.Fleet.metrics.Metrics.faults_watchdogs = 0 then
+      fail "breaker: the watchdog never fired"
 
 (* --- 3b. armed chaos under autoscaling: the operability soak ----------- *)
 
@@ -375,87 +370,84 @@ let operability_stage () =
      stream must replay byte-identically, and scaling must demonstrably
      cut late completions versus the same fleet pinned at its base
      concurrency. *)
-  Unix.putenv "OMPSIMD_FAULTS" "abort=0.4,flip=0.3:0.5,stall=0.2";
-  Unix.putenv "OMPSIMD_FAULT_SEED" "23";
-  Gpusim.Fault.refresh_from_env ();
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "OMPSIMD_FAULTS" "";
-      Unix.putenv "OMPSIMD_FAULT_SEED" "";
-      Gpusim.Fault.refresh_from_env ())
-    (fun () ->
-      let n = 4_000 in
-      let specs = Traffic.(generate (preset "flash" ~n ~seed:23)) in
-      let devices = Fleet.parse_devices "w32-hw,w32-sw,w32-hw,w32-sw" in
-      let slo = 8_000.0 in
-      let autoscale =
-        {
-          Serve.Autoscale.enabled = true;
-          slo;
-          budget = 8;
-          max_extra = 6;
-          down = 0.5;
-          cooldown = 2;
-        }
-      in
-      let conf =
-        fconf ~shards:4 ~batch:8 ~devices ~slo ~telemetry:true ~shed:true
-          ~autoscale ()
-      in
-      let res = Fleet.run conf specs in
-      let m = res.Fleet.metrics in
-      Printf.printf
-        "fleet-soak (operability): %d requests, %d shed-slo, %d violations, %d grows, %d shrinks, %d reopens\n%!"
-        n m.Metrics.shed_slo m.Metrics.slo_violations
-        m.Metrics.autoscale_grows m.Metrics.autoscale_shrinks
-        m.Metrics.breaker_reopens;
-      if List.length res.Fleet.reports <> n then
-        fail "operability: %d reports for %d requests"
-          (List.length res.Fleet.reports) n;
-      List.iteri
-        (fun i (r : Fleet.rq_report) ->
-          if r.Fleet.spec.Request.id <> i then
-            fail "operability: report %d carries id %d" i
-              r.Fleet.spec.Request.id)
-        res.Fleet.reports;
-      let tally =
-        m.Metrics.completed + m.Metrics.rejected + m.Metrics.shed
-        + m.Metrics.shed_slo + m.Metrics.timed_out + m.Metrics.failed
-        + m.Metrics.degraded
-      in
-      if tally <> n then fail "operability: outcomes tally to %d, not %d" tally n;
-      if m.Metrics.faults_fatal + m.Metrics.faults_corrected = 0 then
-        fail "operability: the armed plan injected nothing";
-      if String.length res.Fleet.telemetry = 0 then
-        fail "operability: telemetry stream is empty";
-      (* same seed, same fleet: the telemetry JSONL replays to the byte *)
-      let res2 = Fleet.run conf specs in
-      if not (String.equal res.Fleet.telemetry res2.Fleet.telemetry) then
-        fail "operability: telemetry did not replay byte-identically";
-      if not (String.equal (summary_json res) (summary_json res2)) then
-        fail "operability: same-seed replay produced a different summary";
-      (* the recorded comparison: shedding off in both arms, autoscaler
-         on vs off — scaling must grow under the crowd and strictly cut
-         SLO violations *)
-      let arm auto =
-        (Fleet.run
-           { conf with Fleet.telemetry = false; shed = false; autoscale = auto }
-           specs)
-          .Fleet.metrics
-      in
-      let scaled = arm autoscale and fixed = arm Serve.Autoscale.disabled in
-      if scaled.Metrics.autoscale_grows = 0 then
-        fail "operability: the autoscaler never grew under the flash crowd";
-      if fixed.Metrics.autoscale_grows <> 0 then
-        fail "operability: the disabled arm scaled";
-      if scaled.Metrics.slo_violations >= fixed.Metrics.slo_violations then
-        fail
-          "operability: autoscaling did not reduce SLO violations (%d vs %d \
-           fixed)"
-          scaled.Metrics.slo_violations fixed.Metrics.slo_violations;
-      Printf.printf
-        "fleet-soak (operability): autoscale on/off violations %d/%d\n%!"
-        scaled.Metrics.slo_violations fixed.Metrics.slo_violations)
+  let run =
+    Gpusim.Run.make
+      ~faults:
+        (Gpusim.Fault.parse_spec ~seed:23 "abort=0.4,flip=0.3:0.5,stall=0.2")
+      ()
+  in
+    let n = 4_000 in
+    let specs = Traffic.(generate (preset "flash" ~n ~seed:23)) in
+    let devices = Settings.parse_devices "w32-hw,w32-sw,w32-hw,w32-sw" in
+    let slo = 8_000.0 in
+    let autoscale =
+      {
+        Serve.Autoscale.enabled = true;
+        slo;
+        budget = 8;
+        max_extra = 6;
+        down = 0.5;
+        cooldown = 2;
+      }
+    in
+    let conf =
+      fconf ~shards:4 ~batch:8 ~devices ~slo ~telemetry:true ~shed:true
+        ~autoscale ()
+    in
+    let res = Fleet.run conf ~run specs in
+    let m = res.Fleet.metrics in
+    Printf.printf
+      "fleet-soak (operability): %d requests, %d shed-slo, %d violations, %d grows, %d shrinks, %d reopens\n%!"
+      n m.Metrics.shed_slo m.Metrics.slo_violations
+      m.Metrics.autoscale_grows m.Metrics.autoscale_shrinks
+      m.Metrics.breaker_reopens;
+    if List.length res.Fleet.reports <> n then
+      fail "operability: %d reports for %d requests"
+        (List.length res.Fleet.reports) n;
+    List.iteri
+      (fun i (r : Fleet.rq_report) ->
+        if r.Fleet.spec.Request.id <> i then
+          fail "operability: report %d carries id %d" i
+            r.Fleet.spec.Request.id)
+      res.Fleet.reports;
+    let tally =
+      m.Metrics.completed + m.Metrics.rejected + m.Metrics.shed
+      + m.Metrics.shed_slo + m.Metrics.timed_out + m.Metrics.failed
+      + m.Metrics.degraded
+    in
+    if tally <> n then fail "operability: outcomes tally to %d, not %d" tally n;
+    if m.Metrics.faults_fatal + m.Metrics.faults_corrected = 0 then
+      fail "operability: the armed plan injected nothing";
+    if String.length res.Fleet.telemetry = 0 then
+      fail "operability: telemetry stream is empty";
+    (* same seed, same fleet: the telemetry JSONL replays to the byte *)
+    let res2 = Fleet.run conf ~run specs in
+    if not (String.equal res.Fleet.telemetry res2.Fleet.telemetry) then
+      fail "operability: telemetry did not replay byte-identically";
+    if not (String.equal (summary_json res) (summary_json res2)) then
+      fail "operability: same-seed replay produced a different summary";
+    (* the recorded comparison: shedding off in both arms, autoscaler
+       on vs off — scaling must grow under the crowd and strictly cut
+       SLO violations *)
+    let arm auto =
+      (Fleet.run
+         { conf with Fleet.telemetry = false; shed = false; autoscale = auto }
+         ~run specs)
+        .Fleet.metrics
+    in
+    let scaled = arm autoscale and fixed = arm Serve.Autoscale.disabled in
+    if scaled.Metrics.autoscale_grows = 0 then
+      fail "operability: the autoscaler never grew under the flash crowd";
+    if fixed.Metrics.autoscale_grows <> 0 then
+      fail "operability: the disabled arm scaled";
+    if scaled.Metrics.slo_violations >= fixed.Metrics.slo_violations then
+      fail
+        "operability: autoscaling did not reduce SLO violations (%d vs %d \
+         fixed)"
+        scaled.Metrics.slo_violations fixed.Metrics.slo_violations;
+    Printf.printf
+      "fleet-soak (operability): autoscale on/off violations %d/%d\n%!"
+      scaled.Metrics.slo_violations fixed.Metrics.slo_violations
 
 (* --- 4. throughput: the batched fleet vs the single device ------------- *)
 

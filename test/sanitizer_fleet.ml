@@ -1,14 +1,16 @@
-(* Runtest tier for the sanitizer, exercised exactly the way a user
-   enables it: OMPSIMD_SANITIZE in the environment, kernels through the
-   text pipeline, both eval engines.  Two stages:
+(* Runtest tier for the sanitizer: kernels through the text pipeline,
+   both eval engines.  Two stages:
 
    1. known-answer conformance kernels (a true global race, a cross-group
       guarded race, a race-free atomic pattern) must produce their
-      expected verdicts with site provenance under both engines;
+      expected verdicts with site provenance under both engines.  This
+      stage arms the sanitizer exactly the way a user does: OMPSIMD_SANITIZE
+      and OMPSIMD_EVAL in the environment, read by the settings parser;
    2. a small certified-random fleet: one kernel template with a
       switchable race plant, swept over geometries by a deterministic
       LCG — the sanitizer must report exactly the planted runs, and the
-      static may-race layer must agree. *)
+      static may-race layer must agree.  This stage passes its settings
+      as explicit values. *)
 
 module Ir = Ompir.Ir
 module Eval = Ompir.Eval
@@ -50,14 +52,17 @@ let zero_bindings ~sizes (k : Ir.kernel) =
     k.Ir.params
 
 let run_file ~engine ~clauses ~sizes file =
+  Unix.putenv "OMPSIMD_SANITIZE" "1";
+  Unix.putenv "OMPSIMD_EVAL" engine;
+  let settings = Settings.of_env () in
   let kernel = Ompir.Parse.kernel_of_file (Filename.concat "conformance" file) in
-  match Offload.compile ~racecheck:true kernel with
+  let knobs = { settings.Settings.knobs with Offload.racecheck = true } in
+  match Offload.compile_with ~knobs kernel with
   | Error _ -> failwith (file ^ ": compile failed")
   | Ok c ->
-      Unix.putenv "OMPSIMD_SANITIZE" "1";
-      Unix.putenv "OMPSIMD_EVAL" engine;
       let report =
-        Offload.run ~cfg ~clauses ~bindings:(zero_bindings ~sizes kernel) c
+        Offload.run ~cfg ~run:(Settings.run settings) ~clauses
+          ~bindings:(zero_bindings ~sizes kernel) c
       in
       (c, report)
 
@@ -156,19 +161,26 @@ let fleet_stage () =
     let engine = List.nth engines (next 2) in
     let kernel = template ~plant ~width in
     let n = rows * width in
-    match Offload.compile ~racecheck:true kernel with
+    let knobs =
+      {
+        Offload.default_knobs with
+        Offload.racecheck = true;
+        engine = (if engine = "walk" then Ompir.Compile.Walk else Staged);
+      }
+    in
+    match Offload.compile_with ~knobs kernel with
     | Error _ -> fail "fleet case %d: compile failed" case
     | Ok c ->
         if c.Offload.may_races <> [] <> plant then
           fail "fleet case %d: static verdict != plant=%b" case plant;
-        Unix.putenv "OMPSIMD_SANITIZE" "1";
-        Unix.putenv "OMPSIMD_EVAL" engine;
         let clauses =
           Clause.(
             none |> num_teams teams |> num_threads threads |> simdlen slen)
         in
         let report =
-          Offload.run ~cfg ~clauses
+          Offload.run ~cfg
+            ~run:(Gpusim.Run.make ~sanitize:true ())
+            ~clauses
             ~bindings:
               (zero_bindings ~sizes:[ ("src", n); ("out", n); ("rows", rows); ("n", n) ]
                  kernel)

@@ -420,10 +420,11 @@ let options_of case =
 
 let engines_agree ~name ?pool ?(atomic_arrays = []) ~options ~bindings_of
     ~out_arrays ~kernel program =
+  let run = Gpusim.Run.make ?pool () in
   let _, walk_b = bindings_of () in
-  let rw = Eval.run ~cfg ?pool ~options ~bindings:walk_b program in
+  let rw = Eval.run ~cfg ~run ~options ~bindings:walk_b program in
   let _, staged_b = bindings_of () in
-  let rs = Ompir.Compile.run ~cfg ?pool ~options ~bindings:staged_b program in
+  let rs = Ompir.Compile.run ~cfg ~run ~options ~bindings:staged_b program in
   List.iter
     (fun arr ->
       if array_of walk_b arr <> array_of staged_b arr then
@@ -494,16 +495,12 @@ let run_sanitizer_certification ?pool ~engine case =
          (List.map Ompir.Racecheck.finding_to_string static_findings));
   let program = Outline.run kernel in
   let _, bindings = make_bindings case in
-  Gpusim.Ompsan.enabled := true;
+  let run = Gpusim.Run.make ?pool ~sanitize:true () in
   let report =
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.refresh_from_env ())
-      (fun () ->
-        match engine with
-        | `Staged ->
-            Ompir.Compile.run ~cfg ?pool ~options:(options_of case) ~bindings
-              program
-        | `Walk -> Eval.run ~cfg ?pool ~options:(options_of case) ~bindings program)
+    match engine with
+    | `Staged ->
+        Ompir.Compile.run ~cfg ~run ~options:(options_of case) ~bindings program
+    | `Walk -> Eval.run ~cfg ~run ~options:(options_of case) ~bindings program
   in
   match report.Gpusim.Device.sanitizer with
   | None -> Test.fail_reportf "sanitizer report missing from an enabled run"
@@ -674,12 +671,10 @@ let run_collapse_certification cc =
       (List.length static_findings) cc.cplant;
   let program = Outline.run kernel in
   let _, bindings = collapse_bindings cc in
-  Gpusim.Ompsan.enabled := true;
   let report =
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.refresh_from_env ())
-      (fun () ->
-        Ompir.Compile.run ~cfg ~options:(collapse_options cc) ~bindings program)
+    Ompir.Compile.run ~cfg
+      ~run:(Gpusim.Run.make ~sanitize:true ())
+      ~options:(collapse_options cc) ~bindings program
   in
   match report.Gpusim.Device.sanitizer with
   | None -> Test.fail_reportf "sanitizer report missing from an enabled run"

@@ -35,22 +35,12 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* The fault knobs are read from the environment at launch time, so the
-   tests drive them the way a user would.  Always restore and re-sync
-   the cached plan in [finally]: later suites (and the experiment
-   launches, which refresh nothing) must run disarmed. *)
-let with_env pairs f =
-  let old =
-    List.map
-      (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
-      pairs
-  in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (k, v) -> Unix.putenv k v) old;
-      Fault.refresh_from_env ())
-    f
+(* The tests spell settings the way a user would — knob=value pairs —
+   and parse them with the CLI's own parser, from a table instead of
+   the process environment.  Each call builds a fresh run, so its armed
+   launches draw from nonce 1 and nothing leaks into later suites. *)
+let settings pairs = Settings.of_lookup (fun k -> List.assoc_opt k pairs)
+let run_of ?pool pairs = Settings.run ?pool (settings pairs)
 
 let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
     ?(threads = 32) ?(simdlen = 8) ?deadline ?(priority = 0) ?(seed = 1) id =
@@ -72,10 +62,10 @@ let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
 
 (* One device-level launch of a serve catalog template: the same
    instantiate/compile/run path the service takes, minus the service. *)
-let launch ?pool s =
+let launch ?pool ?(env = []) s =
   let kernel, bindings, out = Request.instantiate s in
   let compiled =
-    match Offload.compile_with ~knobs:Offload.default_knobs kernel with
+    match Offload.compile_with ~knobs:(settings env).Settings.knobs kernel with
     | Ok c -> c
     | Error _ -> Alcotest.fail "catalog kernel failed to compile"
   in
@@ -86,7 +76,8 @@ let launch ?pool s =
       |> num_threads s.Request.threads
       |> simdlen s.Request.simdlen)
   in
-  let report = Offload.run ~cfg ?pool ~clauses ~bindings compiled in
+  let run = run_of ?pool env in
+  let report = Offload.run ~cfg ~run ~clauses ~bindings compiled in
   (report, Request.checksum out)
 
 let failure_lines (r : Device.report) =
@@ -111,16 +102,16 @@ let blank_fault_env =
 (* ------------------------------------------------------------------ *)
 
 let test_disarmed_identity () =
-  with_env blank_fault_env (fun () ->
-      let report, _ = launch (spec 0) in
-      check_int "no failures" 0 (List.length report.Device.failures);
-      Alcotest.(check string)
-        "fault stats all zero"
-        (stats_str Fault.zero_stats)
-        (stats_str report.Device.faults);
-      check_bool "pp_report omits the fault block" false
-        (contains (pp_str report) "faults:");
-      check_bool "deadlock capture stays off" false (Fault.capture_deadlocks ()))
+  let report, _ = launch ~env:blank_fault_env (spec 0) in
+  check_int "no failures" 0 (List.length report.Device.failures);
+  Alcotest.(check string)
+    "fault stats all zero"
+    (stats_str Fault.zero_stats)
+    (stats_str report.Device.faults);
+  check_bool "pp_report omits the fault block" false
+    (contains (pp_str report) "faults:");
+  check_bool "deadlock capture stays off" false
+    (Gpusim.Run.capture_deadlocks (run_of blank_fault_env))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same seed, same faults, every engine x pool            *)
@@ -134,12 +125,12 @@ let chaos_env =
 
 let test_fixed_seed_invariance () =
   let run ?pool engine =
-    with_env (("OMPSIMD_EVAL", engine) :: chaos_env) (fun () ->
-        Fault.reset ();
-        let report, sum = launch ?pool (spec ~kernel:"rowsum" ~teams:6 0) in
-        ( failure_lines report,
-          stats_str report.Device.faults,
-          Int64.bits_of_float sum ))
+    let report, sum =
+      launch ?pool
+        ~env:(("OMPSIMD_EVAL", engine) :: chaos_env)
+        (spec ~kernel:"rowsum" ~teams:6 0)
+    in
+    (failure_lines report, stats_str report.Device.faults, Int64.bits_of_float sum)
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = run "compile" in
@@ -154,85 +145,69 @@ let test_fixed_seed_invariance () =
   Alcotest.check t "pool matches sequential" staged_seq staged_pool;
   Alcotest.check t "walk engine matches staged" staged_seq walk_seq;
   Alcotest.check t "walk + pool matches too" staged_seq walk_pool;
-  (* reset rewinds the launch nonce: an in-place replay is identical *)
-  let replay =
-    with_env (("OMPSIMD_EVAL", "compile") :: chaos_env) (fun () ->
-        Fault.reset ();
-        let r1, s1 = launch (spec ~kernel:"rowsum" ~teams:6 0) in
-        Fault.reset ();
-        let r2, s2 = launch (spec ~kernel:"rowsum" ~teams:6 0) in
-        ( (failure_lines r1, stats_str r1.Device.faults, Int64.bits_of_float s1),
-          (failure_lines r2, stats_str r2.Device.faults, Int64.bits_of_float s2)
-        ))
-  in
-  Alcotest.check t "reset replays the identical faults" (fst replay)
-    (snd replay)
+  (* the nonce belongs to the run: a fresh run replays the identical
+     faults *)
+  Alcotest.check t "a fresh run replays the identical faults" staged_seq
+    (run "compile")
 
 (* ------------------------------------------------------------------ *)
 (* The injection kinds                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_abort () =
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
-      (* enough work that every victim reaches its trigger cycle *)
-      let report, _ = launch (spec ~size:2048 ~teams:2 ~threads:64 0) in
-      check_bool "failures reported" true (report.Device.failures <> []);
-      check_bool "all of them are aborts" true
-        (List.for_all
-           (fun f -> f.Fault.f_kind = Fault.Block_abort)
-           report.Device.failures);
-      check_bool "fatal counted" true (report.Device.faults.Fault.fatal >= 1);
-      let pp = pp_str report in
-      check_bool "pp_report prints the fault block" true (contains pp "faults:");
-      check_bool "pp_report prints each failure" true (contains pp "failure:"))
+  let env = [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "3") ] in
+  (* enough work that every victim reaches its trigger cycle *)
+  let report, _ = launch ~env (spec ~size:2048 ~teams:2 ~threads:64 0) in
+  check_bool "failures reported" true (report.Device.failures <> []);
+  check_bool "all of them are aborts" true
+    (List.for_all
+       (fun f -> f.Fault.f_kind = Fault.Block_abort)
+       report.Device.failures);
+  check_bool "fatal counted" true (report.Device.faults.Fault.fatal >= 1);
+  let pp = pp_str report in
+  check_bool "pp_report prints the fault block" true (contains pp "faults:");
+  check_bool "pp_report prints each failure" true (contains pp "failure:")
 
 let test_flip_corrected () =
-  let clean_sum =
-    with_env blank_fault_env (fun () -> snd (launch (spec ~size:256 0)))
-  in
-  with_env [ ("OMPSIMD_FAULTS", "flip=1:0"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
-      let report, sum = launch (spec ~size:256 0) in
-      check_int "corrected flips never fail a block" 0
-        (List.length report.Device.failures);
-      check_bool "corrections counted" true
-        (report.Device.faults.Fault.corrected >= 1);
-      check_bool "the corrected counter reaches the device counters" true
-        (Counters.get_extra report.Device.counters "fault.ecc_corrected" >= 1.0);
-      Alcotest.(check int64)
-        "corrected run is bit-identical to the clean one"
-        (Int64.bits_of_float clean_sum) (Int64.bits_of_float sum))
+  let clean_sum = snd (launch ~env:blank_fault_env (spec ~size:256 0)) in
+  let env = [ ("OMPSIMD_FAULTS", "flip=1:0"); ("OMPSIMD_FAULT_SEED", "3") ] in
+  let report, sum = launch ~env (spec ~size:256 0) in
+  check_int "corrected flips never fail a block" 0
+    (List.length report.Device.failures);
+  check_bool "corrections counted" true
+    (report.Device.faults.Fault.corrected >= 1);
+  check_bool "the corrected counter reaches the device counters" true
+    (Counters.get_extra report.Device.counters "fault.ecc_corrected" >= 1.0);
+  Alcotest.(check int64)
+    "corrected run is bit-identical to the clean one"
+    (Int64.bits_of_float clean_sum) (Int64.bits_of_float sum)
 
 let test_stall_captured () =
-  with_env [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
-      (* must NOT raise Engine.Deadlock: capture is armed *)
-      let report, _ = launch (spec ~kernel:"rowsum" ~teams:2 0) in
-      check_bool "stall failures reported" true
-        (List.exists
-           (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
-           report.Device.failures);
-      check_bool "stall names its barrier" true
-        (List.exists
-           (fun f ->
-             f.Fault.f_kind = Fault.Barrier_stall && f.Fault.f_barrier <> "")
-           report.Device.failures);
-      check_bool "stalls counted" true (report.Device.faults.Fault.stalls >= 1))
+  let env = [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "3") ] in
+  (* must NOT raise Engine.Deadlock: capture is armed *)
+  let report, _ = launch ~env (spec ~kernel:"rowsum" ~teams:2 0) in
+  check_bool "stall failures reported" true
+    (List.exists
+       (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
+       report.Device.failures);
+  check_bool "stall names its barrier" true
+    (List.exists
+       (fun f ->
+         f.Fault.f_kind = Fault.Barrier_stall && f.Fault.f_barrier <> "")
+       report.Device.failures);
+  check_bool "stalls counted" true (report.Device.faults.Fault.stalls >= 1)
 
 let test_watchdog () =
-  with_env [ ("OMPSIMD_WATCHDOG", "1") ] (fun () ->
-      let report, _ = launch (spec 0) in
-      check_bool "over-budget blocks reported" true
-        (List.exists
-           (fun f -> f.Fault.f_kind = Fault.Watchdog)
-           report.Device.failures);
-      check_bool "watchdogs counted" true
-        (report.Device.faults.Fault.watchdogs >= 1));
-  with_env [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun () ->
-      let report, _ = launch (spec 0) in
-      check_int "a generous budget reports nothing" 0
-        (List.length report.Device.failures))
+  let report, _ = launch ~env:[ ("OMPSIMD_WATCHDOG", "1") ] (spec 0) in
+  check_bool "over-budget blocks reported" true
+    (List.exists
+       (fun f -> f.Fault.f_kind = Fault.Watchdog)
+       report.Device.failures);
+  check_bool "watchdogs counted" true
+    (report.Device.faults.Fault.watchdogs >= 1);
+  let report, _ = launch ~env:[ ("OMPSIMD_WATCHDOG", "1e12") ] (spec 0) in
+  check_int "a generous budget reports nothing" 0
+    (List.length report.Device.failures)
 
 (* Satellite: an armed plan (even all-zero rates) converts a genuine
    divergence deadlock into a structured Barrier_stall failure instead
@@ -264,17 +239,89 @@ let test_divergence_captured () =
     | Ok c -> c
     | Error _ -> Alcotest.fail "race_divergence.omp failed to compile"
   in
-  with_env [ ("OMPSIMD_FAULTS", "abort=0") ] (fun () ->
-      let report = Offload.run ~cfg ~clauses:divergence_clauses ~bindings compiled in
-      check_bool "the hung block surfaces as a stall failure" true
-        (List.exists
-           (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
-           report.Device.failures);
-      check_bool "the failure names the stuck rendezvous" true
-        (List.exists
-           (fun f -> contains f.Fault.f_barrier "(")
-           report.Device.failures);
-      check_bool "stall counted" true (report.Device.faults.Fault.stalls >= 1))
+  let run = run_of [ ("OMPSIMD_FAULTS", "abort=0") ] in
+  let report =
+    Offload.run ~cfg ~run ~clauses:divergence_clauses ~bindings compiled
+  in
+  check_bool "the hung block surfaces as a stall failure" true
+    (List.exists
+       (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
+       report.Device.failures);
+  check_bool "the failure names the stuck rendezvous" true
+    (List.exists
+       (fun f -> contains f.Fault.f_barrier "(")
+       report.Device.failures);
+  check_bool "stall counted" true (report.Device.faults.Fault.stalls >= 1)
+
+(* The arming contract: an armed all-zero plan runs the simd lockstep
+   loops on the classic barrier-per-round path, whose lane interleaving
+   differs from the fused executor's — time, LSU transactions and line
+   hits may move.  The work does not: the order-free counters and
+   output memory match the disarmed run exactly — except float sums in
+   execution order (busy cycles, float atomics into one cell), which
+   agree to rounding. *)
+let test_zero_plan_same_work () =
+  let module H = Workloads.Harness in
+  let zero = Gpusim.Run.make ~faults:(Fault.parse_spec ~seed:0 "abort=0") () in
+  let same ?(atomic_sums = false) what (off : H.run) (on_ : H.run) =
+    if atomic_sums then
+      Array.iter2
+        (fun a b ->
+          check_bool (what ^ ": output agrees to rounding") true
+            (abs_float (a -. b) <= 1e-12 *. Float.max 1.0 (abs_float a)))
+        off.H.output on_.H.output
+    else
+      Alcotest.(check (array int64))
+        (what ^ ": output memory")
+        (Array.map Int64.bits_of_float off.H.output)
+        (Array.map Int64.bits_of_float on_.H.output);
+    let c (r : H.run) = r.H.report.Device.counters in
+    let ints (k : Counters.t) =
+      Counters.
+        [
+          k.global_loads;
+          k.global_stores;
+          k.atomics;
+          k.warp_barriers;
+          k.block_barriers;
+          k.calls;
+        ]
+    in
+    Alcotest.(check (list int))
+      (what ^ ": loads, stores, atomics, barriers, calls")
+      (ints (c off)) (ints (c on_));
+    Alcotest.(check (float 0.0))
+      (what ^ ": DRAM bytes")
+      (Counters.dram_bytes (c off))
+      (Counters.dram_bytes (c on_));
+    (* a float sum over the lanes' charges, in execution order *)
+    let busy = Counters.busy_cycles (c off) in
+    Alcotest.(check (float (1e-12 *. busy)))
+      (what ^ ": busy cycles") busy
+      (Counters.busy_cycles (c on_))
+  in
+  let spmv =
+    Workloads.Spmv.generate
+      { Workloads.Spmv.default_shape with Workloads.Spmv.rows = 512; cols = 512 }
+  in
+  let mode3 = H.spmd_simd ~group_size:8 in
+  let spmv_run ?run () =
+    Workloads.Spmv.run_simd_reduction ~cfg ?run ~num_teams:16 ~threads:128
+      ~mode3 spmv
+  in
+  same "spmv" (spmv_run ()) (spmv_run ~run:zero ());
+  (* the same product accumulated through float atomics *)
+  let spmv_atomic ?run () =
+    Workloads.Spmv.run_simd ~cfg ?run ~num_teams:16 ~threads:128 ~mode3 spmv
+  in
+  same ~atomic_sums:true "spmv (atomic)" (spmv_atomic ())
+    (spmv_atomic ~run:zero ());
+  let su3 = Workloads.Su3.generate { Workloads.Su3.sites = 512; seed = 2 } in
+  let su3_run ?run () =
+    Workloads.Su3.run ~cfg ?run ~num_teams:16 ~threads:128
+      ~mode3:(H.spmd_simd ~group_size:4) su3
+  in
+  same "su3" (su3_run ()) (su3_run ~run:zero ())
 
 (* ------------------------------------------------------------------ *)
 (* Sharing-space exhaustion and the genuine global fallback            *)
@@ -283,8 +330,7 @@ let test_divergence_captured () =
 (* A generic-mode region with a 12-pointer payload whose SIMD body
    writes through global memory: results must not depend on where the
    payload copies live (variable-sharing slice vs global fallback). *)
-let sharing_run ?(sharing_bytes = 4096) () =
-  Fault.refresh_from_env ();
+let sharing_run ?(sharing_bytes = 4096) ?(env = []) () =
   let space = Memory.space () in
   let data = Memory.falloc space 64 in
   let payload =
@@ -294,7 +340,8 @@ let sharing_run ?(sharing_bytes = 4096) () =
     { Team.num_teams = 2; num_threads = 64; teams_mode = Mode.Spmd; sharing_bytes }
   in
   let report =
-    Target.launch ~cfg ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ~run:(run_of env) ~params ~dispatch_table_size:2
+      (fun ctx ->
         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~payload ~fn_id:0
           (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:64 (fun i ->
@@ -315,37 +362,33 @@ let fallbacks (r : Device.report) =
   Counters.get_extra r.Device.counters "sharing.global_fallbacks"
 
 let test_exhaust_forces_fallback () =
-  let clean_report, clean_sum =
-    with_env blank_fault_env (fun () -> sharing_run ())
-  in
+  let clean_report, clean_sum = sharing_run ~env:blank_fault_env () in
   Alcotest.(check (float 0.0))
     "roomy slices never fall back" 0.0 (fallbacks clean_report);
-  with_env [ ("OMPSIMD_FAULTS", "exhaust=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
-      let report, sum = sharing_run () in
-      check_bool "exhaustion counted" true
-        (report.Device.faults.Fault.exhausts >= 1);
-      check_bool "acquires forced onto the global fallback" true
-        (fallbacks report >= 1.0);
-      check_int "no failures: exhaustion degrades, it does not kill" 0
-        (List.length report.Device.failures);
-      Alcotest.(check int64)
-        "fallback placement is bit-identical"
-        (Int64.bits_of_float clean_sum) (Int64.bits_of_float sum))
+  let env = [ ("OMPSIMD_FAULTS", "exhaust=1"); ("OMPSIMD_FAULT_SEED", "3") ] in
+  let report, sum = sharing_run ~env () in
+  check_bool "exhaustion counted" true
+    (report.Device.faults.Fault.exhausts >= 1);
+  check_bool "acquires forced onto the global fallback" true
+    (fallbacks report >= 1.0);
+  check_int "no failures: exhaustion degrades, it does not kill" 0
+    (List.length report.Device.failures);
+  Alcotest.(check int64)
+    "fallback placement is bit-identical"
+    (Int64.bits_of_float clean_sum) (Int64.bits_of_float sum)
 
 (* Satellite: the same fallback, exercised for real — a payload larger
    than the per-group slice, no fault plan involved. *)
 let test_genuine_fallback_bit_identical () =
-  with_env blank_fault_env (fun () ->
-      let roomy_report, roomy_sum = sharing_run ~sharing_bytes:4096 () in
-      let tight_report, tight_sum = sharing_run ~sharing_bytes:128 () in
-      Alcotest.(check (float 0.0))
-        "roomy config stays in the shared slice" 0.0 (fallbacks roomy_report);
-      check_bool "tight config falls back to global memory" true
-        (fallbacks tight_report >= 1.0);
-      Alcotest.(check int64)
-        "both placements compute identical results"
-        (Int64.bits_of_float roomy_sum) (Int64.bits_of_float tight_sum))
+  let roomy_report, roomy_sum = sharing_run ~sharing_bytes:4096 () in
+  let tight_report, tight_sum = sharing_run ~sharing_bytes:128 () in
+  Alcotest.(check (float 0.0))
+    "roomy config stays in the shared slice" 0.0 (fallbacks roomy_report);
+  check_bool "tight config falls back to global memory" true
+    (fallbacks tight_report >= 1.0);
+  Alcotest.(check int64)
+    "both placements compute identical results"
+    (Int64.bits_of_float roomy_sum) (Int64.bits_of_float tight_sum)
 
 (* ------------------------------------------------------------------ *)
 (* Serve-layer recovery                                                *)
@@ -370,56 +413,54 @@ let outcome =
   Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
 let test_serve_degraded_after_retries () =
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun () ->
-      let reports, m = Scheduler.run (conf ~retries:2 ()) [ spec 0 ] in
-      let r = List.nth reports 0 in
-      Alcotest.check outcome "retries exhausted: degraded" Scheduler.Degraded
-        r.Scheduler.outcome;
-      check_int "original launch + two relaunches" 3 r.Scheduler.launches;
-      check_int "every launch failed" 3 m.Metrics.device_failures;
-      check_int "two relaunches scheduled" 2 m.Metrics.relaunches;
-      check_int "degraded counted" 1 m.Metrics.degraded;
-      check_int "nothing recovered" 0 m.Metrics.recovered;
-      check_bool "fatal faults folded into metrics" true
-        (m.Metrics.faults_fatal >= 3))
+  let run = run_of [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ] in
+  let reports, m = Scheduler.run (conf ~retries:2 ()) ~run [ spec 0 ] in
+  let r = List.nth reports 0 in
+  Alcotest.check outcome "retries exhausted: degraded" Scheduler.Degraded
+    r.Scheduler.outcome;
+  check_int "original launch + two relaunches" 3 r.Scheduler.launches;
+  check_int "every launch failed" 3 m.Metrics.device_failures;
+  check_int "two relaunches scheduled" 2 m.Metrics.relaunches;
+  check_int "degraded counted" 1 m.Metrics.degraded;
+  check_int "nothing recovered" 0 m.Metrics.recovered;
+  check_bool "fatal faults folded into metrics" true
+    (m.Metrics.faults_fatal >= 3)
 
 let test_serve_recovery () =
   (* a 50% per-block abort rate on single-block kernels: each relaunch
      draws fresh faults (the launch nonce), so with a relaunch budget
      most requests complete and — with this seed — at least one does so
      on a second or later launch *)
-  with_env [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "11") ]
-    (fun () ->
-      let specs =
-        List.init 6 (fun i ->
-            spec ~at:(float_of_int i *. 40000.0) ~teams:1 ~seed:(i + 1) i)
-      in
-      let reports, m = Scheduler.run (conf ~retries:3 ()) specs in
-      check_bool "every outcome is Completed or Degraded" true
-        (List.for_all
+  let run = run_of [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "11") ] in
+  let specs =
+    List.init 6 (fun i ->
+        spec ~at:(float_of_int i *. 40000.0) ~teams:1 ~seed:(i + 1) i)
+  in
+  let reports, m = Scheduler.run (conf ~retries:3 ()) ~run specs in
+  check_bool "every outcome is Completed or Degraded" true
+    (List.for_all
+       (fun r ->
+         r.Scheduler.outcome = Scheduler.Completed
+         || r.Scheduler.outcome = Scheduler.Degraded)
+       reports);
+  check_bool "at least one request recovered" true (m.Metrics.recovered >= 1);
+  check_int "recovered = completions that needed > 1 launch"
+    (List.length
+       (List.filter
+          (fun r ->
+            r.Scheduler.outcome = Scheduler.Completed
+            && r.Scheduler.launches > 1)
+          reports))
+    m.Metrics.recovered;
+  check_int "every failure was relaunched or ended Degraded"
+    (m.Metrics.relaunches
+    + List.length
+        (List.filter
            (fun r ->
-             r.Scheduler.outcome = Scheduler.Completed
-             || r.Scheduler.outcome = Scheduler.Degraded)
-           reports);
-      check_bool "at least one request recovered" true (m.Metrics.recovered >= 1);
-      check_int "recovered = completions that needed > 1 launch"
-        (List.length
-           (List.filter
-              (fun r ->
-                r.Scheduler.outcome = Scheduler.Completed
-                && r.Scheduler.launches > 1)
-              reports))
-        m.Metrics.recovered;
-      check_int "every failure was relaunched or ended Degraded"
-        (m.Metrics.relaunches
-        + List.length
-            (List.filter
-               (fun r ->
-                 r.Scheduler.outcome = Scheduler.Degraded
-                 && r.Scheduler.launches > 0)
-               reports))
-        m.Metrics.device_failures)
+             r.Scheduler.outcome = Scheduler.Degraded
+             && r.Scheduler.launches > 0)
+           reports))
+    m.Metrics.device_failures
 
 let test_serve_breaker () =
   (* always-fatal plan, breaker threshold 2, no relaunch budget: the
@@ -427,26 +468,26 @@ let test_serve_breaker () =
      (arriving well inside the cooldown) is shed without launching.
      The geometry gives every launch enough work that its victim thread
      reaches the abort trigger, whatever nonce the launch draws. *)
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun () ->
-      let spec ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
-      let reports, m =
-        Scheduler.run
-          (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000_000.0 ())
-          [ spec ~at:0.0 0; spec ~at:200_000.0 1; spec ~at:400_000.0 2 ]
-      in
-      check_int "every launch failed" m.Metrics.launches
-        m.Metrics.device_failures;
-      Alcotest.check outcome "first degraded" Scheduler.Degraded
-        (List.nth reports 0).Scheduler.outcome;
-      Alcotest.check outcome "second degraded" Scheduler.Degraded
-        (List.nth reports 1).Scheduler.outcome;
-      let r2 = List.nth reports 2 in
-      Alcotest.check outcome "third shed by the open breaker"
-        Scheduler.Degraded r2.Scheduler.outcome;
-      check_int "the shed request never launched" 0 r2.Scheduler.launches;
-      check_int "breaker opened once" 1 m.Metrics.breaker_opens;
-      check_int "only the first two launched" 2 m.Metrics.launches)
+  let run = run_of [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ] in
+  let spec ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
+  let reports, m =
+    Scheduler.run
+      (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000_000.0 ())
+      ~run
+      [ spec ~at:0.0 0; spec ~at:200_000.0 1; spec ~at:400_000.0 2 ]
+  in
+  check_int "every launch failed" m.Metrics.launches
+    m.Metrics.device_failures;
+  Alcotest.check outcome "first degraded" Scheduler.Degraded
+    (List.nth reports 0).Scheduler.outcome;
+  Alcotest.check outcome "second degraded" Scheduler.Degraded
+    (List.nth reports 1).Scheduler.outcome;
+  let r2 = List.nth reports 2 in
+  Alcotest.check outcome "third shed by the open breaker"
+    Scheduler.Degraded r2.Scheduler.outcome;
+  check_int "the shed request never launched" 0 r2.Scheduler.launches;
+  check_int "breaker opened once" 1 m.Metrics.breaker_opens;
+  check_int "only the first two launched" 2 m.Metrics.launches
 
 let test_serve_chaos_replay () =
   (* the determinism contract under fire: one trace, an armed chaos
@@ -454,9 +495,10 @@ let test_serve_chaos_replay () =
   let specs = Request.synthetic ~n:12 ~seed:3 () in
   let c = conf ~retries:2 ~breaker:3 ~backoff:800.0 () in
   let snap ?pool engine =
-    with_env (("OMPSIMD_EVAL", engine) :: chaos_env) (fun () ->
-        let reports, m = Scheduler.run c ?pool specs in
-        Scheduler.snapshot_json c reports m)
+    let env = ("OMPSIMD_EVAL", engine) :: chaos_env in
+    let c = { c with Scheduler.knobs = (settings env).Settings.knobs } in
+    let reports, m = Scheduler.run c ~run:(run_of ?pool env) specs in
+    Scheduler.snapshot_json c reports m
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap "compile" in
@@ -484,50 +526,50 @@ let recovery_invariant =
         small_nat)
     (fun (abort, stall, seed) ->
       let plan = Printf.sprintf "abort=%g,flip=0.3:0.5,stall=%g" abort stall in
-      with_env
-        [
-          ("OMPSIMD_FAULTS", plan);
-          ("OMPSIMD_FAULT_SEED", string_of_int seed);
-        ]
-        (fun () ->
-          let specs =
-            List.init 6 (fun i ->
-                spec
-                  ~at:(float_of_int i *. 30000.0)
-                  ~kernel:(if i mod 2 = 0 then "saxpy" else "rowsum")
-                  ~teams:2 ~seed:(i + 1) i)
-          in
-          let reports, m =
-            Scheduler.run (conf ~retries:2 ~breaker:3 ()) specs
-          in
-          List.length reports = 6
-          && List.for_all
-               (fun r ->
-                 (r.Scheduler.outcome = Scheduler.Completed
-                 || r.Scheduler.outcome = Scheduler.Degraded)
-                 && r.Scheduler.launches <= 3)
-               reports
-          && m.Metrics.device_failures
-             = m.Metrics.relaunches
-               + List.length
-                   (List.filter
-                      (fun r ->
-                        r.Scheduler.outcome = Scheduler.Degraded
-                        && r.Scheduler.launches = 3)
-                      reports)
-          && List.for_all
-               (fun r ->
-                 r.Scheduler.outcome <> Scheduler.Degraded
-                 || r.Scheduler.launches = 3
-                 || m.Metrics.breaker_opens >= 1)
-               reports
-          && m.Metrics.recovered
-             = List.length
+      let run =
+        run_of
+          [
+            ("OMPSIMD_FAULTS", plan); ("OMPSIMD_FAULT_SEED", string_of_int seed);
+          ]
+      in
+        let specs =
+          List.init 6 (fun i ->
+              spec
+                ~at:(float_of_int i *. 30000.0)
+                ~kernel:(if i mod 2 = 0 then "saxpy" else "rowsum")
+                ~teams:2 ~seed:(i + 1) i)
+        in
+        let reports, m =
+          Scheduler.run (conf ~retries:2 ~breaker:3 ()) ~run specs
+        in
+        List.length reports = 6
+        && List.for_all
+             (fun r ->
+               (r.Scheduler.outcome = Scheduler.Completed
+               || r.Scheduler.outcome = Scheduler.Degraded)
+               && r.Scheduler.launches <= 3)
+             reports
+        && m.Metrics.device_failures
+           = m.Metrics.relaunches
+             + List.length
                  (List.filter
                     (fun r ->
-                      r.Scheduler.outcome = Scheduler.Completed
-                      && r.Scheduler.launches > 1)
-                    reports)))
+                      r.Scheduler.outcome = Scheduler.Degraded
+                      && r.Scheduler.launches = 3)
+                    reports)
+        && List.for_all
+             (fun r ->
+               r.Scheduler.outcome <> Scheduler.Degraded
+               || r.Scheduler.launches = 3
+               || m.Metrics.breaker_opens >= 1)
+             reports
+        && m.Metrics.recovered
+           = List.length
+               (List.filter
+                  (fun r ->
+                    r.Scheduler.outcome = Scheduler.Completed
+                    && r.Scheduler.launches > 1)
+                  reports))
 
 let suite =
   [
@@ -550,6 +592,8 @@ let suite =
           test_exhaust_forces_fallback;
         Alcotest.test_case "sharing: genuine fallback is bit-identical" `Quick
           test_genuine_fallback_bit_identical;
+        Alcotest.test_case "zero plan: the same work as disarmed" `Quick
+          test_zero_plan_same_work;
       ] );
     ( "fault-serve",
       [

@@ -148,8 +148,8 @@ let zoo_width_differential =
           simdlen = 8;
         }
       in
-      let knobs = Openmp.Offload.default_knobs in
-      let run_on ?pool cfg =
+      let run_on ?pool ?(engine = Ompir.Compile.Staged) cfg =
+        let knobs = { Openmp.Offload.default_knobs with engine } in
         let k, bindings, out = Serve.Request.instantiate spec in
         match Openmp.Offload.compile_with ~knobs k with
         | Error _ -> Alcotest.failf "%s does not compile" kernel
@@ -162,31 +162,19 @@ let zoo_width_differential =
                 |> simdlen spec.Serve.Request.simdlen)
             in
             ignore
-              (Openmp.Offload.run ~cfg ?pool ~clauses ~bindings compiled
+              (Openmp.Offload.run ~cfg ~run:(Gpusim.Run.make ?pool ())
+                 ~clauses ~bindings compiled
                 : Device.report);
             Array.init (Memory.flength out) (Memory.host_get out)
       in
-      let with_env pairs f =
-        List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-        Fun.protect f ~finally:(fun () ->
-            List.iter (fun (k, _) -> Unix.putenv k "") pairs)
-      in
-      let reference =
-        with_env [ ("OMPSIMD_EVAL", "") ] (fun () -> run_on (zoo_cfg "w32-hw"))
-      in
+      let reference = run_on (zoo_cfg "w32-hw") in
       let pool = Pool.create ~domains:2 () in
       let ok =
         List.for_all
           (fun name ->
             let cfg = zoo_cfg name in
-            let seq =
-              with_env [ ("OMPSIMD_EVAL", "") ] (fun () -> run_on cfg)
-            in
-            let pooled =
-              with_env
-                [ ("OMPSIMD_EVAL", "walk") ]
-                (fun () -> run_on ~pool cfg)
-            in
+            let seq = run_on cfg in
+            let pooled = run_on ~pool ~engine:Ompir.Compile.Walk cfg in
             seq = reference && pooled = reference)
           [ "w8-hw"; "w16-hw"; "w64-hw"; "w16-sw"; "w64-sw"; "w32-none" ]
       in
@@ -713,8 +701,10 @@ let test_deadlock_reports_same_name_barriers () =
 (* --- Pool / parallel determinism -------------------------------------- *)
 
 let test_pool_parallel_init () =
-  check_int "env var name is stable" 0
-    (String.compare Pool.env_var "OMPSIMD_DOMAINS");
+  check_bool "the pool-width knob name is stable" true
+    (let read = ref [] in
+     ignore (Settings.of_lookup (fun k -> read := k :: !read; None));
+     List.mem "OMPSIMD_DOMAINS" !read);
   let seq = Pool.create () in
   check_int "default is sequential" 0 (Pool.size seq);
   let r = Pool.parallel_init seq 10 (fun i -> 2 * i) in
@@ -764,7 +754,8 @@ let test_determinism_uniform_grid () =
   in
   let mode3 = Workloads.Harness.spmd_simd ~group_size:4 in
   let run ?pool ?dedup () =
-    (Workloads.Ideal.run ~cfg ?pool ?dedup ~num_teams:7 ~threads:32 ~mode3 t)
+    (Workloads.Ideal.run ~cfg ~run:(Gpusim.Run.make ?pool ()) ?dedup
+       ~num_teams:7 ~threads:32 ~mode3 t)
       .Workloads.Harness.report
   in
   let seq = run () in
@@ -796,7 +787,8 @@ let test_determinism_irregular_grid () =
   in
   let mode3 = Workloads.Harness.generic_simd ~group_size:4 in
   let run ?pool () =
-    (Workloads.Spmv.run_simd ~cfg ?pool ~num_teams:7 ~threads:32 ~mode3 t)
+    (Workloads.Spmv.run_simd ~cfg ~run:(Gpusim.Run.make ?pool ()) ~num_teams:7
+       ~threads:32 ~mode3 t)
       .Workloads.Harness.report
   in
   let seq = run () in
@@ -842,7 +834,7 @@ let test_pool_trace_stays_sequential () =
   let pool = Pool.create ~domains:4 () in
   let trace = Trace.create () in
   ignore
-    (Device.launch ~cfg ~pool ~trace ~grid:3 ~block:4
+    (Device.launch ~cfg ~run:(Gpusim.Run.make ~pool ()) ~trace ~grid:3 ~block:4
        ~block_class:(fun _ -> 0)
        ~init:(fun ~block_id _ -> block_id)
        ~body:(fun _ th -> Thread.trace th ~tag:"evt" "x")

@@ -52,21 +52,11 @@ let normalized_strings san = List.map normalize (Ompsan.report_strings san)
 let conformance_dir = "conformance"
 let load file = Ompir.Parse.kernel_of_file (Filename.concat conformance_dir file)
 
-(* The sanitizer knob is read from the environment at launch time, so the
-   tests drive it exactly the way a user would; always restore and
-   re-sync the cached flag so later suites see the default. *)
-let with_env pairs f =
-  let old =
-    List.map
-      (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
-      pairs
-  in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (k, v) -> Unix.putenv k v) old;
-      Ompsan.refresh_from_env ())
-    f
+(* The tests spell settings the way a user would — knob=value pairs —
+   and parse them with the CLI's own parser, from a table instead of
+   the process environment: each launch gets its own run. *)
+let settings pairs = Settings.of_lookup (fun k -> List.assoc_opt k pairs)
+let sanitized engine = settings [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
 
 (* Deterministic bindings; output arrays start zeroed (race_divergence
    branches on the initial contents of [out]). *)
@@ -90,8 +80,12 @@ let bindings_of ~sizes (k : Ompir.Ir.kernel) =
       (p.Ompir.Ir.pname, b))
     k.Ompir.Ir.params
 
-let compiled_of ?(guardize = false) file =
-  match Offload.compile ~guardize ~racecheck:true (load file) with
+let compiled_of ?(knobs = Offload.default_knobs) ?(guardize = false) file =
+  match
+    Offload.compile_with
+      ~knobs:{ knobs with Offload.guardize; racecheck = true }
+      (load file)
+  with
   | Ok c -> c
   | Error es ->
       Alcotest.failf "%s: compile failed: %s" file
@@ -99,11 +93,10 @@ let compiled_of ?(guardize = false) file =
            (List.map (fun (e : Ompir.Check.error) -> e.Ompir.Check.what) es))
 
 let run_sanitized ?pool ~engine ~clauses ~sizes file =
-  let c = compiled_of file in
+  let s = sanitized engine in
+  let c = compiled_of ~knobs:s.Settings.knobs file in
   let bindings = bindings_of ~sizes (load file) in
-  with_env
-    [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun () -> Offload.run ~cfg ?pool ~clauses ~bindings c)
+  Offload.run ~cfg ~run:(Settings.run ?pool s) ~clauses ~bindings c
 
 let sanitizer_report (r : Gpusim.Device.report) =
   match r.Gpusim.Device.sanitizer with
@@ -183,33 +176,32 @@ let divergence_clauses =
     |> parallel_mode Mode.Spmd)
 
 let test_race_divergence engine () =
-  let c = compiled_of "race_divergence.omp" in
+  let s = sanitized engine in
+  let c = compiled_of ~knobs:s.Settings.knobs "race_divergence.omp" in
   let bindings = bindings_of ~sizes:[ ("out", 8); ("n", 1) ] (load "race_divergence.omp") in
-  with_env
-    [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun () ->
-      match Offload.run ~cfg ~clauses:divergence_clauses ~bindings c with
-      | (_ : Gpusim.Device.report) ->
-          Alcotest.fail "divergent kernel was expected to deadlock"
-      | exception Gpusim.Engine.Deadlock msg ->
-          check_bool "deadlock report carries barrier ids" true
-            (contains msg "#");
-          let aborted = Ompsan.take_aborted () in
-          check_bool "divergence finding recovered from aborted block" true
-            (List.exists
-               (function
-                 | Ompsan.Divergence
-                     { stalled_tid; arriving_tid; stalled_bar; arriving_bar; _ }
-                   ->
-                     stalled_tid <> arriving_tid && stalled_bar <> arriving_bar
-                 | _ -> false)
-               aborted);
-          (* the redundant SPMD region store to out[0] is one logical
-             lane's work: it must NOT be reported as a race *)
-          check_bool "no race on the region-level store" false
-            (List.exists
-               (function Ompsan.Race _ -> true | _ -> false)
-               aborted))
+  let run = Settings.run s in
+  match Offload.run ~cfg ~run ~clauses:divergence_clauses ~bindings c with
+  | (_ : Gpusim.Device.report) ->
+      Alcotest.fail "divergent kernel was expected to deadlock"
+  | exception Gpusim.Engine.Deadlock msg ->
+      check_bool "deadlock report carries barrier ids" true
+        (contains msg "#");
+      let aborted = Ompsan.take_aborted run.Gpusim.Run.aborted in
+      check_bool "divergence finding recovered from aborted block" true
+        (List.exists
+           (function
+             | Ompsan.Divergence
+                 { stalled_tid; arriving_tid; stalled_bar; arriving_bar; _ }
+               ->
+                 stalled_tid <> arriving_tid && stalled_bar <> arriving_bar
+             | _ -> false)
+           aborted);
+      (* the redundant SPMD region store to out[0] is one logical
+         lane's work: it must NOT be reported as a race *)
+      check_bool "no race on the region-level store" false
+        (List.exists
+           (function Ompsan.Race _ -> true | _ -> false)
+           aborted)
 
 let atomic_clean_clauses =
   Clause.(
@@ -307,8 +299,8 @@ let test_disabled_invariance () =
     let file, sizes = List.hd clean_cases in
     let c = compiled_of file in
     let bindings = bindings_of ~sizes (load file) in
-    with_env env (fun () ->
-        Offload.run ~cfg ~clauses:clean_clauses ~bindings c)
+    Offload.run ~cfg ~run:(Settings.run (settings env)) ~clauses:clean_clauses
+      ~bindings c
   in
   let off = run [ ("OMPSIMD_SANITIZE", "0") ] in
   let on_ = run [ ("OMPSIMD_SANITIZE", "1") ] in
@@ -328,80 +320,72 @@ let test_disabled_invariance () =
 (* Shadow-state unit tests (no device, no IR)                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_sanitizer_on f =
-  Ompsan.enabled := true;
-  Fun.protect ~finally:(fun () -> Ompsan.refresh_from_env ()) f
-
-let unit_threads n =
+(* A two-lane block whose warp carries fresh shadow state, the way a
+   sanitized launch stamps it; the hooks are called directly, as the
+   gated call sites would. *)
+let unit_block () =
+  let san = Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32 in
   let counters = Gpusim.Counters.create () in
-  let warp = Gpusim.Thread.make_warp ~cfg ~warp_index:0 in
-  Array.init n (fun tid ->
-      Gpusim.Thread.create ~cfg ~counters ~block_id:0 ~tid ~warp ())
+  let warp =
+    Gpusim.Thread.make_warp ~cfg ~warp_index:0
+      ~msession:Gpusim.Thread.No_session ~fault:Gpusim.Thread.No_faults ~san
+  in
+  ( san,
+    Array.init 2 (fun tid ->
+        Gpusim.Thread.create ~cfg ~counters ~block_id:0 ~tid ~warp ()) )
 
-let finish_block () = Ompsan.launch_report [| Ompsan.block_end () |]
+let finish_block san = Ompsan.launch_report [| Ompsan.block_end san |]
 
 let test_shared_conflict_unit () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      let report = finish_block () in
-      check_bool "unsynchronized same-cell writes race" false
-        (Ompsan.is_clean report);
-      check_int "exactly one finding" 1 (List.length report.Ompsan.findings))
+  let san, th = unit_block () in
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  let report = finish_block san in
+  check_bool "unsynchronized same-cell writes race" false
+    (Ompsan.is_clean report);
+  check_int "exactly one finding" 1 (List.length report.Ompsan.findings)
 
 let test_shared_barrier_separates () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      let arrive t =
-        Ompsan.barrier_arrive t ~block_scope:true ~mask:0 ~bar_id:1
-          ~bar_name:"b" ~expected:2 ~participants:[ 0; 1 ]
-      in
-      arrive th.(0);
-      arrive th.(1);
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "a barrier separates the writes" true
-        (Ompsan.is_clean (finish_block ())))
+  let san, th = unit_block () in
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  let arrive t =
+    Ompsan.barrier_arrive t ~block_scope:true ~mask:0 ~bar_id:1
+      ~bar_name:"b" ~expected:2 ~participants:[ 0; 1 ]
+  in
+  arrive th.(0);
+  arrive th.(1);
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "a barrier separates the writes" true
+    (Ompsan.is_clean (finish_block san))
 
 let test_same_actor_exempt () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      (* both lanes execute region code for logical thread 0 *)
-      ignore (Ompsan.set_actor th.(1) 0);
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "same-actor redundant writes do not race" true
-        (Ompsan.is_clean (finish_block ()));
-      (* restoring per-tid attribution re-arms the detector *)
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      let prev = Ompsan.set_actor th.(1) 0 in
-      ignore (Ompsan.set_actor th.(1) prev);
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "distinct actors race again" false
-        (Ompsan.is_clean (finish_block ())))
+  let san, th = unit_block () in
+  (* both lanes execute region code for logical thread 0 *)
+  ignore (Ompsan.set_actor th.(1) 0);
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "same-actor redundant writes do not race" true
+    (Ompsan.is_clean (finish_block san));
+  (* restoring per-tid attribution re-arms the detector *)
+  let san, th = unit_block () in
+  let prev = Ompsan.set_actor th.(1) 0 in
+  ignore (Ompsan.set_actor th.(1) prev);
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "distinct actors race again" false
+    (Ompsan.is_clean (finish_block san))
 
 let test_atomic_exempt_unit () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      check_bool "atomic-atomic is clean" true
-        (Ompsan.is_clean (finish_block ()));
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Write;
-      check_bool "atomic-write still races" false
-        (Ompsan.is_clean (finish_block ())))
+  let san, th = unit_block () in
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  check_bool "atomic-atomic is clean" true
+    (Ompsan.is_clean (finish_block san));
+  let san, th = unit_block () in
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Write;
+  check_bool "atomic-write still races" false
+    (Ompsan.is_clean (finish_block san))
 
 (* ------------------------------------------------------------------ *)
 (* Static may-race layer on the same sources                           *)

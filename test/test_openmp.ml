@@ -475,11 +475,6 @@ let test_offload_rejects_bad_kernel () =
   in
   check_bool "compile error" true (Result.is_error (Offload.compile bad))
 
-let with_env pairs f =
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect f ~finally:(fun () ->
-      List.iter (fun (k, _) -> Unix.putenv k "") pairs)
-
 let test_sharing_reservation_sizing () =
   match Offload.compile saxpy_kernel with
   | Error _ -> Alcotest.fail "saxpy must compile"
@@ -487,23 +482,32 @@ let test_sharing_reservation_sizing () =
       let program = compiled.Offload.program in
       let footprint = Ompir.Globalize.footprint_bytes program in
       check_bool "footprint positive" true (footprint > 0);
-      let reserve ~budget =
-        Offload.sharing_reservation ~budget ~num_threads:64 ~simd_len:8
-          program
+      let reserve ?(sharing = Offload.Dynamic) ~budget () =
+        Offload.sharing_reservation ~sharing ~budget ~num_threads:64
+          ~simd_len:8 program
       in
       (* 64 threads / simdlen 8 = 8 groups, plus the team main = 9
          concurrent publishers *)
       check_int "dynamic sizing"
         (max Omprt.Sharing.min_bytes (footprint * 9))
-        (reserve ~budget:65536);
+        (reserve ~budget:65536 ());
       (* shrink-only: a tight budget is never exceeded *)
       check_bool "caps at budget" true
-        (reserve ~budget:Omprt.Sharing.min_bytes <= Omprt.Sharing.min_bytes);
-      with_env [ ("OMPSIMD_SHARING_BYTES", "512") ] (fun () ->
-          check_int "env pin wins" 512 (reserve ~budget:65536));
-      with_env [ ("OMPSIMD_SHARING_DYNAMIC", "0") ] (fun () ->
-          check_int "dynamic disabled returns budget" 65536
-            (reserve ~budget:65536))
+        (reserve ~budget:Omprt.Sharing.min_bytes ()
+        <= Omprt.Sharing.min_bytes);
+      (* the knobs as a user spells them, through the CLI's parser *)
+      let sharing pairs =
+        (Settings.of_lookup (fun k -> List.assoc_opt k pairs)).Settings.knobs
+          .Offload.sharing
+      in
+      check_int "env pin wins" 512
+        (reserve
+           ~sharing:(sharing [ ("OMPSIMD_SHARING_BYTES", "512") ])
+           ~budget:65536 ());
+      check_int "dynamic disabled returns budget" 65536
+        (reserve
+           ~sharing:(sharing [ ("OMPSIMD_SHARING_DYNAMIC", "0") ])
+           ~budget:65536 ())
 
 let suite =
   [

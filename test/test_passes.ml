@@ -45,10 +45,12 @@ let certify ?pool ~name ~options ~bindings_of ~arrays ~atomic pass k =
         let _, b = bindings_of () in
         let _, b' = bindings_of () in
         let (_ : Gpusim.Device.report) =
-          Eval.run ~cfg ?pool ~options ~bindings:b prog
+          Eval.run ~cfg ~run:(Gpusim.Run.make ?pool ()) ~options ~bindings:b
+            prog
         in
         let (_ : Gpusim.Device.report) =
-          Eval.run ~cfg ?pool ~options ~bindings:b' prog'
+          Eval.run ~cfg ~run:(Gpusim.Run.make ?pool ()) ~options
+            ~bindings:b' prog'
         in
         List.iter
           (fun a ->
@@ -832,9 +834,11 @@ let small_kernel =
         ];
     ]
 
-let with_env_passes value f =
-  Unix.putenv "OMPSIMD_PASSES" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "OMPSIMD_PASSES" "") f
+(* the knobs [OMPSIMD_PASSES=value] gives, through the CLI's parser *)
+let knobs_with_passes value =
+  (Settings.of_lookup (fun k ->
+       if k = "OMPSIMD_PASSES" then Some value else None))
+    .Settings.knobs
 
 let test_cache_key_distinguishes () =
   let key passes =
@@ -856,30 +860,40 @@ let test_cache_key_distinguishes () =
     (List.length distinct)
 
 let test_cache_key_env_flip () =
-  (* the serve scheduler keys with default knobs (blank [passes]): the
-     env knob must flow into the key, so flipping OMPSIMD_PASSES can
-     never hit a cache entry compiled under a different pipeline *)
-  let key () = Openmp.Offload.cache_key small_kernel in
-  let base = key () in
-  with_env_passes "fold,licm,strength,dce" (fun () ->
-      if key () = base then
-        Alcotest.fail
-          "OMPSIMD_PASSES flip aliased the default-pipeline cache key");
-  with_env_passes "default" (fun () ->
-      Alcotest.(check string)
-        "explicit default env spec keeps the default key" base (key ()))
+  (* the serve scheduler keys with the knobs the settings parsed: the
+     knob must flow into the key, so flipping OMPSIMD_PASSES can never
+     hit a cache entry compiled under a different pipeline *)
+  let key value =
+    Openmp.Offload.cache_key ~knobs:(knobs_with_passes value) small_kernel
+  in
+  let base = Openmp.Offload.cache_key small_kernel in
+  Alcotest.(check string) "a blank knob keeps the default key" base (key "");
+  if key "fold,licm,strength,dce" = base then
+    Alcotest.fail "OMPSIMD_PASSES flip aliased the default-pipeline cache key";
+  Alcotest.(check string)
+    "explicit default env spec keeps the default key" base (key "default")
 
 let test_fail_fast () =
-  let msg =
-    invalid "cache_key on malformed env" (fun () ->
-        with_env_passes "fold,nonsense" (fun () ->
-            Openmp.Offload.cache_key small_kernel))
+  let needles msg =
+    List.iter
+      (fun needle ->
+        if not (contains msg needle) then
+          Alcotest.failf "message %S should mention %S" msg needle)
+      [ "OMPSIMD_PASSES"; "nonsense"; "unknown pass" ]
   in
-  List.iter
-    (fun needle ->
-      if not (contains msg needle) then
-        Alcotest.failf "message %S should mention %S" msg needle)
-    [ "OMPSIMD_PASSES"; "nonsense"; "unknown pass" ];
+  (* a malformed knob fails when the settings are parsed, at startup *)
+  needles
+    (invalid "settings on malformed env" (fun () ->
+         knobs_with_passes "fold,nonsense"));
+  needles
+    (invalid "cache_key on malformed knobs" (fun () ->
+         Openmp.Offload.cache_key
+           ~knobs:
+             {
+               Openmp.Offload.default_knobs with
+               Openmp.Offload.passes = "fold,nonsense";
+             }
+           small_kernel));
   let msg2 =
     invalid "compile on malformed knob" (fun () ->
         Openmp.Offload.compile ~passes:"unroll:oops" small_kernel)

@@ -50,15 +50,23 @@ let conf ?(queue_bound = 4) ?(servers = 1) ?(cache = 8) ?(retries = 0)
 
 let outcome = Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
-let with_env name value f =
-  let saved = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv name (Option.value saved ~default:"");
-      (* re-sync the cached fault plan: later suites must run disarmed *)
-      Gpusim.Fault.refresh_from_env ())
-    f
+(* Settings the way a user writes them — knob=value pairs — parsed by
+   the CLI's parser from a table instead of the process environment. *)
+let settings pairs = Settings.of_lookup (fun k -> List.assoc_opt k pairs)
+let run_of ?pool pairs = Settings.run ?pool (settings pairs)
+
+(* [c] with the engine [OMPSIMD_EVAL=engine] selects *)
+let with_engine engine (c : Scheduler.config) =
+  {
+    c with
+    Scheduler.knobs =
+      {
+        c.Scheduler.knobs with
+        Openmp.Offload.engine =
+          (settings [ ("OMPSIMD_EVAL", engine) ]).Settings.knobs
+            .Openmp.Offload.engine;
+      };
+  }
 
 let outcome_of (reports : Scheduler.rq_report list) id =
   (List.nth reports id).Scheduler.outcome
@@ -223,15 +231,14 @@ let test_cache_survives_device_failure () =
      same kernel.  Distinct from a compile Error, which is never
      cached. *)
   let reports, m =
-    with_env "OMPSIMD_FAULTS" "abort=1" (fun () ->
-        with_env "OMPSIMD_FAULT_SEED" "5" (fun () ->
-            Scheduler.run
-              (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
-              (* enough work that the victim thread reaches its trigger *)
-              [
-                spec ~at:0.0 ~size:2048 ~teams:2 ~threads:64 0;
-                spec ~at:500000.0 ~size:2048 ~teams:2 ~threads:64 1;
-              ]))
+    Scheduler.run
+      (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
+      ~run:(run_of [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ])
+      (* enough work that the victim thread reaches its trigger *)
+      [
+        spec ~at:0.0 ~size:2048 ~teams:2 ~threads:64 0;
+        spec ~at:500000.0 ~size:2048 ~teams:2 ~threads:64 1;
+      ]
   in
   let r0 = List.nth reports 0 and r1 = List.nth reports 1 in
   Alcotest.check outcome "always-fatal plan degrades" Scheduler.Degraded
@@ -276,15 +283,16 @@ let test_deterministic_replay () =
      byte-identical *)
   let specs = Request.synthetic ~n:16 ~seed:11 () in
   let c = conf ~servers:2 ~queue_bound:2 ~retries:2 ~backoff:800.0 () in
-  let snap ?pool () =
-    let reports, m = Scheduler.run c ?pool specs in
+  let snap ?pool ?(engine = "") () =
+    let c = with_engine engine c in
+    let reports, m = Scheduler.run c ~run:(run_of ?pool []) specs in
     Scheduler.snapshot_json c reports m
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap () in
   let staged_pool = snap ~pool () in
-  let walk_seq = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ()) in
-  let walk_pool = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ~pool ()) in
+  let walk_seq = snap ~engine:"walk" () in
+  let walk_pool = snap ~pool ~engine:"walk" () in
   Alcotest.(check string) "pool matches sequential" staged_seq staged_pool;
   Alcotest.(check string) "walk engine matches staged" staged_seq walk_seq;
   Alcotest.(check string) "walk + pool matches too" staged_seq walk_pool
@@ -313,8 +321,9 @@ let fconf ?(shards = 2) ?(batch = 4) ?(steal = true) ?(memo = true)
     decay;
   }
 
-let with_env2 bindings f =
-  List.fold_right (fun (k, v) acc () -> with_env k v acc) bindings f ()
+(* [c] with its base config's engine set as [with_engine] does *)
+let fleet_engine engine (c : Fleet.config) =
+  { c with Fleet.base = with_engine engine c.Fleet.base }
 
 let f_outcome (res : Fleet.result) id =
   (List.nth res.Fleet.reports id).Fleet.outcome
@@ -323,8 +332,8 @@ let test_tenant_parsing () =
   Alcotest.(check (list (pair string int)))
     "weights and bare names"
     [ ("alice", 3); ("bob", 1) ]
-    (Fleet.parse_tenants "alice=3, bob");
-  (match Fleet.parse_tenants "alice=zero" with
+    (Settings.parse_tenants "alice=3, bob");
+  (match Settings.parse_tenants "alice=zero" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "malformed weight must be rejected");
   let c = fconf ~tenants:[ ("alice", 3) ] () in
@@ -478,21 +487,21 @@ let fleet_no_lost_request =
           ]
         else []
       in
-      with_env2 env (fun () ->
-          let res =
-            Fleet.run
-              (fconf ~shards ~batch ~steal:(seed mod 3 <> 0) ~retries:2
-                 ~queue_bound:4 ~servers:2 ())
-              specs
-          in
-          let m = res.Fleet.metrics in
-          List.length res.Fleet.reports = 25
-          && List.for_all2
-               (fun (r : Fleet.rq_report) i -> r.Fleet.spec.Request.id = i)
-               res.Fleet.reports (List.init 25 Fun.id)
-          && m.Metrics.completed + m.Metrics.rejected + m.Metrics.shed
-             + m.Metrics.timed_out + m.Metrics.failed + m.Metrics.degraded
-             = 25))
+      let run = run_of env in
+      let res =
+        Fleet.run
+          (fconf ~shards ~batch ~steal:(seed mod 3 <> 0) ~retries:2
+             ~queue_bound:4 ~servers:2 ())
+          ~run specs
+      in
+      let m = res.Fleet.metrics in
+      List.length res.Fleet.reports = 25
+      && List.for_all2
+           (fun (r : Fleet.rq_report) i -> r.Fleet.spec.Request.id = i)
+           res.Fleet.reports (List.init 25 Fun.id)
+      && m.Metrics.completed + m.Metrics.rejected + m.Metrics.shed
+         + m.Metrics.timed_out + m.Metrics.failed + m.Metrics.degraded
+         = 25)
 
 (* qcheck: the determinism contract, fleet edition.  The full snapshot
    is byte-identical across evaluation engines and pool widths; the
@@ -514,26 +523,26 @@ let fleet_replay_invariance =
           ]
         else []
       in
-      with_env2 env (fun () ->
-          let c = fconf ~shards:2 ~batch:4 ~queue_bound:10_000 ~retries:2
-                    ~breaker:0 ~servers:2 ()
-          in
-          let snap ?pool engine =
-            with_env "OMPSIMD_EVAL" engine (fun () ->
-                Fleet.snapshot_json c (Fleet.run c ?pool specs))
-          in
-          let pool = Gpusim.Pool.create ~domains:3 () in
-          let reference = snap "" in
-          let results (shards, batch) =
-            Fleet.results_json
-              (Fleet.run { c with Fleet.shards; batch } specs).Fleet.reports
-          in
-          let r11 = results (1, 1) in
-          String.equal reference (snap ~pool "")
-          && String.equal reference (snap "walk")
-          && String.equal reference (snap ~pool "walk")
-          && String.equal r11 (results (3, 8))
-          && String.equal r11 (results (4, 1))))
+      let c = fconf ~shards:2 ~batch:4 ~queue_bound:10_000 ~retries:2
+                ~breaker:0 ~servers:2 ()
+      in
+      let snap ?pool engine =
+        Fleet.snapshot_json c
+          (Fleet.run (fleet_engine engine c) ~run:(run_of ?pool env) specs)
+      in
+      let pool = Gpusim.Pool.create ~domains:3 () in
+      let reference = snap "" in
+      let results (shards, batch) =
+        Fleet.results_json
+          (Fleet.run { c with Fleet.shards; batch } ~run:(run_of env) specs)
+            .Fleet.reports
+      in
+      let r11 = results (1, 1) in
+      String.equal reference (snap ~pool "")
+      && String.equal reference (snap "walk")
+      && String.equal reference (snap ~pool "walk")
+      && String.equal r11 (results (3, 8))
+      && String.equal r11 (results (4, 1)))
 
 (* qcheck: launch batching is semantically invisible.  The same trace
    through one shard with batching on and off yields, per request,
@@ -564,35 +573,34 @@ let fleet_batching_equivalence =
           ]
         else []
       in
-      with_env2 env (fun () ->
-          let run batch =
-            (Fleet.run
-               (fconf ~shards:1 ~batch ~memo:false ~breaker:0 ~retries:2
-                  ~queue_bound:10_000 ~servers:2 ())
-               specs)
-              .Fleet.reports
-          in
-          let batched = run batch and solo = run 1 in
-          List.exists (fun (r : Fleet.rq_report) -> r.Fleet.batched >= 2) batched
-          && List.for_all2
-               (fun (a : Fleet.rq_report) (b : Fleet.rq_report) ->
-                 a.Fleet.outcome = b.Fleet.outcome
-                 && a.Fleet.launches = b.Fleet.launches
-                 && a.Fleet.exec_ticks = b.Fleet.exec_ticks
-                 && Int64.bits_of_float a.Fleet.checksum
-                    = Int64.bits_of_float b.Fleet.checksum
-                 && Gpusim.Counters.equal a.Fleet.counters b.Fleet.counters)
-               batched solo))
+      let run batch =
+        (Fleet.run
+           (fconf ~shards:1 ~batch ~memo:false ~breaker:0 ~retries:2
+              ~queue_bound:10_000 ~servers:2 ())
+           ~run:(run_of env) specs)
+          .Fleet.reports
+      in
+      let batched = run batch and solo = run 1 in
+      List.exists (fun (r : Fleet.rq_report) -> r.Fleet.batched >= 2) batched
+      && List.for_all2
+           (fun (a : Fleet.rq_report) (b : Fleet.rq_report) ->
+             a.Fleet.outcome = b.Fleet.outcome
+             && a.Fleet.launches = b.Fleet.launches
+             && a.Fleet.exec_ticks = b.Fleet.exec_ticks
+             && Int64.bits_of_float a.Fleet.checksum
+                = Int64.bits_of_float b.Fleet.checksum
+             && Gpusim.Counters.equal a.Fleet.counters b.Fleet.counters)
+           batched solo)
 
 (* --- heterogeneous fleets ------------------------------------------- *)
 
 let test_parse_devices () =
-  (match Fleet.parse_devices "w32-hw, w64-sw" with
+  (match Settings.parse_devices "w32-hw, w64-sw" with
   | [ a; b ] ->
       Alcotest.(check string) "first" "w32-hw" a.Gpusim.Config.name;
       Alcotest.(check string) "second" "w64-sw" b.Gpusim.Config.name
   | _ -> Alcotest.fail "expected two devices");
-  match Fleet.parse_devices "w32-hw,nope" with
+  match Settings.parse_devices "w32-hw,nope" with
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "names the device" true
         (Astring_like.contains msg "nope")
@@ -602,7 +610,7 @@ let test_parse_devices () =
    carries it AND the request geometry fits it; otherwise the pin is
    ignored and the request replays as if unpinned. *)
 let test_device_pin () =
-  let devices = Fleet.parse_devices "w32-hw,w64-sw" in
+  let devices = Settings.parse_devices "w32-hw,w64-sw" in
   let mk ?device ?(threads = 32) id =
     spec
       ~at:(float_of_int id *. 100_000.0)
@@ -642,7 +650,7 @@ let test_device_pin () =
    device with the lowest observed member cycles.  The trace is spaced
    so each request finishes before the next places. *)
 let test_affinity_migration () =
-  let devices = Fleet.parse_devices "w32-hw,w32-sw" in
+  let devices = Settings.parse_devices "w32-hw,w32-sw" in
   let specs =
     List.init 10 (fun i ->
         spec
@@ -681,7 +689,7 @@ let fleet_device_shuffle =
     QCheck.(pair small_nat (int_range 1 3))
     (fun (seed, rot) ->
       let specs = Traffic.(generate (preset "flash" ~n:20 ~seed)) in
-      let devices = Fleet.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny" in
+      let devices = Settings.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny" in
       let n = List.length devices in
       let rotated = List.init n (fun i -> List.nth devices ((i + rot) mod n)) in
       let run devices =
@@ -708,7 +716,7 @@ let fleet_device_shuffle =
    fresh-table decision; a horizon covering the whole trace replays the
    all-time schedule byte-for-byte. *)
 let test_affinity_decay () =
-  let devices = Fleet.parse_devices "w32-hw,w32-sw" in
+  let devices = Settings.parse_devices "w32-hw,w32-sw" in
   let specs =
     List.init 10 (fun i ->
         spec
@@ -762,7 +770,10 @@ let test_operability_snapshot () =
     fconf ~shards:2 ~batch:4 ~queue_bound:16 ~servers:2 ~retries:1
       ~slo:8_000.0 ~telemetry:true ~autoscale:operability_autoscale ()
   in
-  let snap ?pool () = Fleet.snapshot_json c (Fleet.run c ?pool specs) in
+  let snap ?pool ?(engine = "") () =
+    Fleet.snapshot_json c
+      (Fleet.run (fleet_engine engine c) ~run:(run_of ?pool []) specs)
+  in
   let reference = snap () in
   List.iter
     (fun key ->
@@ -782,7 +793,7 @@ let test_operability_snapshot () =
     ];
   let pool = Gpusim.Pool.create ~domains:3 () in
   Alcotest.(check string) "pooled replay identical" reference (snap ~pool ());
-  let walk = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ()) in
+  let walk = snap ~engine:"walk" () in
   Alcotest.(check string) "walk engine identical" reference walk
 
 (* A request admitted into executor headroom on an empty queue is
@@ -818,13 +829,11 @@ let test_breaker_fast_forward_gate () =
       [ (0, 0.0); (1, 100_000.0); (2, 400_000.0); (3, 1_200_000.0) ]
   in
   let run autoscale =
-    with_env2
-      [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ]
-      (fun () ->
-        Fleet.run
-          (fconf ~shards:1 ~batch:1 ~memo:false ~retries:0 ~breaker:2
-             ~backoff:100_000.0 ~autoscale ())
-          specs)
+    Fleet.run
+      (fconf ~shards:1 ~batch:1 ~memo:false ~retries:0 ~breaker:2
+         ~backoff:100_000.0 ~autoscale ())
+      ~run:(run_of [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ])
+      specs
   in
   let launches (res : Fleet.result) id =
     (List.nth res.Fleet.reports id).Fleet.launches
@@ -855,7 +864,7 @@ let fleet_telemetry_replay =
     QCheck.(pair small_nat (int_range 1 3))
     (fun (seed, rot) ->
       let specs = Traffic.(generate (preset "flash" ~n:25 ~seed)) in
-      let devices = Fleet.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny" in
+      let devices = Settings.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny" in
       let n = List.length devices in
       let rotated = List.init n (fun i -> List.nth devices ((i + rot) mod n)) in
       let c devices =
@@ -863,13 +872,14 @@ let fleet_telemetry_replay =
           ~servers:2 ~slo:8_000.0 ~telemetry:true
           ~autoscale:operability_autoscale ()
       in
-      let tele ?pool conf = (Fleet.run conf ?pool specs).Fleet.telemetry in
+      let tele ?pool conf =
+        (Fleet.run conf ~run:(run_of ?pool []) specs).Fleet.telemetry
+      in
       let reference = tele (c devices) in
       let pool = Gpusim.Pool.create ~domains:3 () in
       String.length reference > 0
       && String.equal reference (tele ~pool (c devices))
-      && with_env "OMPSIMD_EVAL" "walk" (fun () ->
-             String.equal reference (tele (c devices)))
+      && String.equal reference (tele (fleet_engine "walk" (c devices)))
       && String.equal reference (tele (c rotated)))
 
 (* The autoscaler control law, exercised directly: the dead band keeps
@@ -944,7 +954,7 @@ let test_autoscale_hysteresis () =
        (Serve.Autoscale.step d ~window:0 ~order
           ~stats:[| stat 5_000.0 1; stat 5_000.0 1 |]));
   Alcotest.(check bool) "no SLO means no autoscaler" false
-    (Serve.Autoscale.config_of_env ~slo:None ~shards:4 ~servers:2 ())
+    (Settings.autoscale (settings []) ~slo:None ~shards:4 ~servers:2)
       .Serve.Autoscale.enabled
 
 let test_priority_order () =

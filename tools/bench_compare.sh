@@ -27,57 +27,18 @@ dune build bench/main.exe
 
 run_bench() {
   # run_bench <domains> <dedup 0|1> <json-out>
-  # The sanitizer is pinned OFF: benchmarks measure the production path,
-  # and the baseline gate below doubles as the proof that carrying the
-  # (disabled) sanitizer hooks costs nothing — a hot-path regression in
-  # the instrumented loads/stores shows up as an E6 (or any other row)
-  # ratio past the threshold.
-  # Fault injection is pinned OFF the same way (the "serve faulty" row
-  # arms its own plan internally): the baseline doubles as the proof
-  # that the disarmed fault hooks cost nothing on the hot path.
-  # The sharing knobs are pinned to their defaults (dynamic sizing on,
-  # no explicit reservation) so an inherited override can't shift the
-  # sharing-sensitive rows against the baseline.
-  # The optimization pipeline and the lockstep executor are pinned to
-  # their defaults too: the recorded numbers measure the default
-  # pipeline (blank OMPSIMD_PASSES) under the fused executor, and an
-  # inherited override of either would shift every row.  The "serve
-  # warm cache (optimized)" row sets its own explicit spec internally.
-  # The fleet knobs are pinned blank the same way: the fleet row builds
-  # its explicit config internally, and an inherited shard/batch/steal
-  # override must not reshape it against the baseline.
-  # The device knobs are pinned blank too: every row benchmarks the
-  # seed device, and the hetero fleet row names its own zoo slice
-  # internally — an inherited OMPSIMD_DEVICE or fleet device list would
-  # shift every simulation row against the baseline.
-  # The operability knobs (SLO, telemetry, autoscaler, affinity decay)
-  # are pinned blank the same way: the SLO fleet row arms its own
-  # config internally, and an inherited OMPSIMD_SERVE_SLO_MS would arm
-  # shedding and scaling inside every other serve row.
-  OMPSIMD_DEVICE= \
-  OMPSIMD_FLEET_DEVICES= \
-  OMPSIMD_FLEET_AFFINITY= \
-  OMPSIMD_FLEET_DECAY= \
-  OMPSIMD_SERVE_SHARDS= \
-  OMPSIMD_SERVE_BATCH= \
-  OMPSIMD_SERVE_STEAL= \
-  OMPSIMD_SERVE_MEMO= \
-  OMPSIMD_SERVE_TENANTS= \
-  OMPSIMD_SERVE_SLO_MS= \
-  OMPSIMD_SERVE_WINDOW= \
-  OMPSIMD_SERVE_TELEMETRY= \
-  OMPSIMD_SERVE_SHED= \
-  OMPSIMD_SERVE_AUTOSCALE= \
-  OMPSIMD_SERVE_BUDGET= \
-  OMPSIMD_SERVE_COOLDOWN= \
+  # bench/main.exe builds its settings explicitly and reads only the
+  # library knobs it varies: OMPSIMD_DOMAINS (set here), OMPSIMD_EVAL
+  # and OMPSIMD_PASSES.  The last two are pinned blank so an inherited
+  # engine or pipeline cannot shift every row against the baseline: the
+  # rows measure the staged engine and the default pipeline.  Every
+  # other OMPSIMD_* knob — sanitizer, fault plan, sharing, device, fleet
+  # and SLO — is ignored by the bench (the sanitizer and fault injection
+  # stay off, so the baseline doubles as the proof that the disabled
+  # hooks cost nothing; the faulty, optimized, hetero and SLO rows
+  # configure themselves).
+  OMPSIMD_EVAL= \
   OMPSIMD_PASSES= \
-  OMPSIMD_LOCKSTEP= \
-  OMPSIMD_SANITIZE=0 \
-  OMPSIMD_FAULTS= \
-  OMPSIMD_FAULT_SEED= \
-  OMPSIMD_WATCHDOG= \
-  OMPSIMD_SHARING_BYTES= \
-  OMPSIMD_SHARING_DYNAMIC= \
   OMPSIMD_DOMAINS="$1" \
   OMPSIMD_BENCH_DEDUP="$2" \
   OMPSIMD_BENCH_SCALE="${OMPSIMD_BENCH_SCALE:-0.05}" \

@@ -26,13 +26,7 @@ labels=""
 run_one() {
   # run_one <label> <spec>
   echo "== $1 (OMPSIMD_PASSES=\"$2\") =="
-  OMPSIMD_SANITIZE=0 \
-  OMPSIMD_FAULTS= \
-  OMPSIMD_FAULT_SEED= \
-  OMPSIMD_WATCHDOG= \
-  OMPSIMD_SHARING_BYTES= \
-  OMPSIMD_SHARING_DYNAMIC= \
-  OMPSIMD_LOCKSTEP= \
+  OMPSIMD_EVAL= \
   OMPSIMD_DOMAINS=0 \
   OMPSIMD_BENCH_DEDUP=0 \
   OMPSIMD_BENCH_SCALE="${OMPSIMD_BENCH_SCALE:-0.05}" \
