@@ -261,7 +261,10 @@ let compile_cmd =
     Arg.(value & flag & info [ "guardize" ] ~doc)
   in
   let no_fold_term =
-    let doc = "Skip constant folding." in
+    let doc =
+      "Skip the whole optimization pipeline (fold, unroll, dce): the same \
+       as OMPSIMD_PASSES=none."
+    in
     Arg.(value & flag & info [ "no-fold" ] ~doc)
   in
   let racecheck_term =
@@ -274,12 +277,13 @@ let compile_cmd =
         Printf.eprintf "%s:%d: syntax error: %s\n" file line message;
         exit 1
     | kernel -> (
+        let knobs = (settings ()).Settings.knobs in
         let knobs =
           {
-            (settings ()).Settings.knobs with
+            knobs with
             Openmp.Offload.guardize;
-            fold = not no_fold;
             racecheck;
+            passes = (if no_fold then "none" else knobs.Openmp.Offload.passes);
           }
         in
         match Openmp.Offload.compile_with ~knobs kernel with

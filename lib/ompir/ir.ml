@@ -172,18 +172,14 @@ let free_vars stmts =
         in
         let bound' = Names.add d.loop_var bound in
         let acc = go_stmts bound' acc d.body in
-        (* [value] sees the body's declarations; conservatively treat all
-           its variables except the loop var and acc as free unless bound
-           outside — body decls are not visible here, so approximate by
-           free vars of the body-plus-value sequence *)
-        let acc =
-          Names.fold
-            (fun name acc ->
-              if Names.mem name bound' then acc else Names.add name acc)
-            (expr_vars Names.empty value)
-            acc
+        (* [value] is evaluated after the body, in its scope: the body's
+           top-level declarations are bound there (as in [Check]) *)
+        let in_body =
+          List.fold_left
+            (fun b -> function Decl { name; _ } -> Names.add name b | _ -> b)
+            bound' d.body
         in
-        (bound, acc)
+        (bound, use in_body acc value)
     | Guarded body ->
         (* scope-transparent: declarations inside remain bound after *)
         let bound', acc =

@@ -12,7 +12,6 @@ type compiled = {
 
 type knobs = {
   guardize : bool;
-  fold : bool;
   racecheck : bool;
   passes : string;
   engine : Ompir.Compile.engine;
@@ -22,7 +21,6 @@ type knobs = {
 let default_knobs =
   {
     guardize = false;
-    fold = true;
     racecheck = false;
     passes = "";
     engine = Ompir.Compile.Staged;
@@ -56,9 +54,8 @@ let cache_key_of_digest ~(knobs : knobs) digest =
     | Budget -> ":sbudget"
     | Pinned n -> Printf.sprintf ":s%d" n
   in
-  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s%s" digest (Bool.to_int knobs.guardize)
-    (Bool.to_int knobs.fold) (Bool.to_int knobs.racecheck) passes engine
-    sharing
+  Printf.sprintf "%s:g%dr%d:p[%s]:%s%s" digest (Bool.to_int knobs.guardize)
+    (Bool.to_int knobs.racecheck) passes engine sharing
 
 let cache_key ?(knobs = default_knobs) kernel =
   cache_key_of_digest ~knobs (Ompir.Kdigest.hex kernel)
@@ -67,10 +64,11 @@ let compile_with ~(knobs : knobs) kernel =
   match Ompir.Check.kernel kernel with
   | Error es -> Error es
   | Ok () ->
-      let pipeline =
-        if not knobs.fold then [] else Ompir.Passes.pipeline_of_spec knobs.passes
-      in
-      match Ompir.Passes.run_verified pipeline kernel with
+      match
+        Ompir.Passes.run_verified
+          (Ompir.Passes.pipeline_of_spec knobs.passes)
+          kernel
+      with
       | Error (_pass, es) -> Error es
       | Ok kernel ->
       let kernel, guards =
@@ -93,10 +91,8 @@ let compile_with ~(knobs : knobs) kernel =
           sharing = knobs.sharing;
         }
 
-let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
-    ?(passes = "") kernel =
-  compile_with ~knobs:{ default_knobs with guardize; fold; racecheck; passes }
-    kernel
+let compile ?(guardize = false) ?(racecheck = false) ?(passes = "") kernel =
+  compile_with ~knobs:{ default_knobs with guardize; racecheck; passes } kernel
 
 let remarks c =
   let outlined =

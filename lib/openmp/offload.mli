@@ -26,7 +26,6 @@ type compiled = {
 
 type knobs = {
   guardize : bool;
-  fold : bool;
   racecheck : bool;
   passes : string;
       (** optimization-pipeline spec ({!Ompir.Passes.pipeline_of_spec});
@@ -38,7 +37,7 @@ type knobs = {
     layers key on the same value the artifact records ({!cache_key}). *)
 
 val default_knobs : knobs
-(** [{ guardize = false; fold = true; racecheck = false; passes = "";
+(** [{ guardize = false; racecheck = false; passes = "";
     engine = Staged; sharing = Dynamic }] — the defaults of {!compile}. *)
 
 val effective_passes : knobs -> string
@@ -68,7 +67,6 @@ val compile_with :
 
 val compile :
   ?guardize:bool ->
-  ?fold:bool ->
   ?racecheck:bool ->
   ?passes:string ->
   Ompir.Ir.kernel ->
@@ -76,12 +74,12 @@ val compile :
 (** [guardize] (default false) applies {!Ompir.Spmdize.guardize} first:
     side-effecting sequential statements of parallel bodies are wrapped in
     guard blocks so the regions become SPMD-safe — the paper's §7 plan for
-    SPMDizing parallel regions.  [fold] (default true) runs the
-    optimization pipeline before outlining: the spec in [passes] (default
-    [""], meaning {!Ompir.Passes.default_pipeline}), applied through
-    {!Ompir.Passes.run_verified} so a pass that broke well-formedness
-    surfaces as a compile error instead of a miscompile.  [fold:false]
-    disables the pipeline entirely.  [racecheck] (default false)
+    SPMDizing parallel regions.  The optimization pipeline runs before
+    outlining: the spec in [passes] (default [""], meaning
+    {!Ompir.Passes.default_pipeline}; ["none"] runs no pass), applied
+    through {!Ompir.Passes.run_verified} so a pass that broke
+    well-formedness surfaces as a compile error instead of a
+    miscompile.  [racecheck] (default false)
     additionally runs the static ompsan layer ({!Ompir.Racecheck}) on
     the post-pipeline, post-guardize kernel; findings land in
     [may_races] and in {!remarks}.

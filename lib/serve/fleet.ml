@@ -1,67 +1,29 @@
 (* The serve engine: N virtual devices behind one admission plane.
 
-   This is the only event loop in the service.  Each shard has its own
-   bounded queue, its own executors and its own per-kernel circuit
-   breakers, all driven by one global discrete-event heap in virtual
-   time; the classic {!Scheduler} is this loop with one shard and every
-   fleet feature off.  Three mechanisms turn the shards into a fleet:
+   This is the only event loop in the service: one global discrete-event
+   heap in virtual time drives every shard, and the classic {!Scheduler}
+   is this loop with one shard and every fleet feature off.  Each
+   decision has its own module, and the loop only sequences them:
 
-   * {b Placement} is a consistent-hash ring over the request's
-     engine-free content identity ({!Ompir.Kdigest} of the instantiated
-     template, plus the guardize flag and the resolved pass spec).
-     Same content, same shard: compile artifacts and batch partners
-     concentrate where their cache entry lives, and adding a shard
-     moves only the keys that hash next to it.  The identity
-     deliberately excludes the evaluation engine so a replay places
-     identically under [OMPSIMD_EVAL=walk] and [=compile].
+   - {!Placement}: where an arrival lands (content ring, device-group
+     sub-rings, geometry fit, min-cost affinity with decay) and the
+     shards' member labels;
+   - {!Admission}: a shard's queue — dispatch order, pass-through,
+     expiry, batch mates, weighted-fair eviction, SLO over-share;
+   - {!Breaker}: a shard's per-key closed/open/probing breakers;
+   - {!Batch}: the merged-grid launch — compile charge, content memo,
+     pinned fault nonces, per-member split reports;
+   - {!Telemetry} and {!Autoscale}: the windowed stream and the
+     control loop evaluated on its window boundaries.
 
-   * {b Work stealing}: a shard whose queue is empty but whose server
-     just freed pulls the best request from the deepest neighbour
-     queue (ties to the lowest shard id) — placement optimizes for
-     locality, stealing keeps the fleet work-conserving when the hash
-     is momentarily unlucky.  Stolen requests run solo (batching is a
-     home-queue affair) and their recovery stays on the thief, whose
-     breaker observed the launch.
+   The loop adds work stealing (an idle shard pulls the best request
+   from the deepest queue of its own device group, ties to the lowest
+   shard id; stolen requests run solo), retry with exponential backoff
+   for admission losses and device failures, and the end-of-run fold of
+   the terminal reports into {!Metrics}.  Every decision is a pure
+   function of the trace, the config and the fault plan, so a replay is
+   byte-identical across engines, pool widths and device shuffles. *)
 
-   * {b Launch batching}: when a shard dispatches a request and
-     [batch > 1], it drains up to [batch - 1] more queued requests
-     with the same content identity and launch geometry into one
-     merged grid occupying one server.  Requests share no simulator
-     state (each instantiates its own memory space), so the merged
-     grid's per-request sub-reports are computed exactly — counters,
-     checksums and injected-fault sections attribute to the member
-     they belong to, and splitting the merged report is lossless by
-     construction.  The batch pays one compile charge and a merged
-     execution window of max(member cycles) + a per-member merge
-     overhead: the throughput win is that members ride side by side
-     instead of serializing.
-
-   Fault injection stays deterministic under all of this because every
-   member launch pins its {!Gpusim.Fault} nonce to (request id,
-   attempt): the faults a request draws are a pure function of the
-   plan and the request, not of where the fleet placed it or what
-   launched before it.  That is what makes the batching-equivalence
-   and shard-invariance properties hold byte-exactly under chaos
-   plans.
-
-   Admission is per-tenant weighted-fair: when a shard's queue is
-   full, the most over-share tenant — occupancy divided by weight —
-   loses a slot, and a newcomer already over its own share is the one
-   turned away.  A hot tenant therefore sheds first; light tenants
-   keep their seats.  Evicted requests re-enter the normal
-   retry-with-backoff path, so fairness never silently loses a
-   request: the no-lost-request invariant holds fleet-wide.
-
-   Repeated identical requests (same template, size, geometry, data
-   seed) are idempotent — bindings are a pure function of the spec —
-   so with faults disarmed the fleet memoizes launch results by
-   content.  A million-request soak with a bounded spec space costs a
-   few hundred real launches; the memo never changes a single report
-   byte, only host time, and it disables itself while a fault plan is
-   armed (relaunches must draw fresh faults). *)
-
-module Offload = Openmp.Offload
-module Clause = Openmp.Clause
 module Counters = Gpusim.Counters
 
 type config = {
@@ -81,10 +43,7 @@ type config = {
   telemetry : bool;  (* collect the windowed JSONL telemetry stream *)
   shed : bool;  (* SLO-aware admission shedding (armed when base.slo is set) *)
   autoscale : Autoscale.config;  (* window-boundary concurrency control *)
-  decay : int;
-      (* affinity cost-table horizon in windows: observed minima older
-         than this age back toward "unmeasured" so a nonstationary
-         trace re-explores; 0 = remember forever (the pre-decay table) *)
+  decay : int;  (* affinity cost-table horizon in windows; 0 = forever *)
 }
 
 let weight_of conf tenant =
@@ -92,128 +51,9 @@ let weight_of conf tenant =
   | Some w -> max 1 w
   | None -> 1
 
-(* --- consistent-hash placement ----------------------------------------- *)
-
-(* 64 virtual points per shard on an MD5 ring.  MD5 is stable across
-   hosts and OCaml versions, so placement is part of the deterministic
-   replay contract. *)
-let ring_points = 64
-
-let hash_pos s =
-  let d = Digest.string s in
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code d.[i]
-  done;
-  !v land max_int
-
-(* A ring over an arbitrary shard-id subset: the vnode labels depend
-   only on the shard id, so the sub-ring of a device group is literally
-   the full ring with the other shards' points removed — membership
-   changes move only the keys whose successor point left. *)
-let make_ring_of sids =
-  let sids = Array.of_list sids in
-  let a =
-    Array.init (Array.length sids * ring_points) (fun i ->
-        let s = sids.(i / ring_points) and v = i mod ring_points in
-        (hash_pos (Printf.sprintf "ompserve-shard-%d-vnode-%d" s v), s))
-  in
-  Array.sort compare a;
-  a
-
-let make_ring shards = make_ring_of (List.init shards Fun.id)
-
-let place ring key =
-  let h = hash_pos key in
-  let n = Array.length ring in
-  (* successor point on the ring (clockwise), wrapping at the top *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let pos, _ = ring.(mid) in
-    if pos < h then lo := mid + 1 else hi := mid
-  done;
-  let _, shard = ring.(if !lo = n then 0 else !lo) in
-  shard
-
-(* The engine-free content identity: placement, batching compatibility
-   and the launch memo all key on it (the cache key proper adds the
-   engine, which must never influence where a request lands). *)
-let content_key_of_digest ~knobs (spec : Request.spec) digest =
-  Printf.sprintf "%s|%c|%s" digest
-    (if spec.guardize then 'g' else '-')
-    (Offload.effective_passes knobs)
-
-let content_key ~knobs (spec : Request.spec) =
-  content_key_of_digest ~knobs spec
-    (Ompir.Kdigest.hex (Request.kernel_of_spec spec))
-
-(* --- bookkeeping types -------------------------------------------------- *)
-
-type pending = {
-  spec : Request.spec;
-  attempts : int;  (* admissions; 1 = admitted first try *)
-  launches : int;  (* device launches performed *)
-  ckey : string;  (* content identity (placement) *)
-  bkey : string;  (* ckey + launch geometry (batching compatibility) *)
-  mkey : string;  (* bkey + size + data seed (launch memo) *)
-  stolen : bool;  (* executing (or last executed) on a foreign shard *)
-  relaunched : bool;  (* recovery re-entry: exempt from bound and eviction *)
-  ir : Ompir.Ir.kernel option;
-      (* the IR its keys were built from, until its first launch: a
-         cold first dispatch compiles and launches it, never a rebuild *)
-}
-
-(* One member's exact sub-report, split out of the merged grid. *)
-type member = {
-  m_pending : pending;  (* launches already includes the one in flight *)
-  m_exec : float;  (* its own simulated device cycles; 0 when hung *)
-  m_failed : bool;
-  m_checksum : float;
-  m_grid : int;
-  m_counters : Counters.t;
-  m_faults : Gpusim.Fault.stats;
-}
-
-type batch_run = {
-  b_shard : int;
-  b_members : member list;  (* dispatch order: leader first *)
-  b_started : float;
-  b_compile : float;
-  b_cache : Service.cache_status;  (* the leader's; C_miss mates report C_join *)
-  b_key : string;  (* cache key = breaker key *)
-}
-
-(* [Submit] is a request's first arrival, before its keys exist: they
-   are computed when it is processed, and an IR built for them rides in
-   the pending record only until that request's first dispatch — never
-   for the whole trace at once. *)
-type event =
-  | Submit of Request.spec
-  | Arrive of pending
-  | Relaunch of int * pending
-  | Finish of batch_run
-
-type breaker_state = Br_closed | Br_open of float | Br_probing
-
-type breaker = { mutable consecutive : int; mutable br : breaker_state }
-
-type shard_state = {
-  sid : int;
-  mutable queue : pending list;
-  mutable conc : int;  (* concurrency target: servers + autoscaled extra *)
-  mutable busy : int;  (* executors occupied; dispatch while busy < conc *)
-  breakers : (string, breaker) Hashtbl.t;
-  mutable s_placed : int;
-  mutable s_queue_max : int;
-  mutable s_launches : int;
-  mutable s_batches : int;
-  mutable s_batched_requests : int;
-  mutable s_steals : int;
-  mutable s_breaker_opens : int;
-  mutable s_retries : int;
-  mutable s_relaunches : int;
-}
+let make_ring = Placement.make_ring
+let place = Placement.place
+let content_key = Batch.content_key
 
 type rq_report = {
   spec : Request.spec;
@@ -253,135 +93,161 @@ type result = {
   telemetry : string;  (* the windowed JSONL stream; "" unless collected *)
 }
 
-(* Virtual cost of folding one more member into a merged grid: the
-   merged launch runs members side by side (their block sets are
-   disjoint, the device schedules them together), so the batch window
-   is the slowest member plus this per-member merge overhead —
-   structural, host-independent, like {!Service.compile_cost}. *)
-let merge_overhead = 64.0
+(* [Submit] is a request's first arrival, before its keys exist: they
+   are built when it is processed, and an IR built for them rides in the
+   pending record only until that request's first dispatch. *)
+type event =
+  | Submit of Request.spec
+  | Arrive of Admission.pending
+  | Relaunch of int * Admission.pending
+  | Finish of int * float * Batch.launch  (* shard, start, launch *)
 
-(* Fault identity of a member launch: a pure function of (request,
-   attempt), pinned via {!Gpusim.Run.pin} so placement, batch
-   shape and dispatch order can never change what a request draws. *)
-let nonce_for (spec : Request.spec) ~launches = 1 + (spec.Request.id * 1021) + launches
+type shard_state = {
+  sid : int;
+  queue : Admission.t;
+  breakers : Breaker.t;
+  mutable conc : int;  (* concurrency target: servers + autoscaled extra *)
+  mutable busy : int;  (* executors occupied; dispatch while busy < conc *)
+  mutable s_placed : int;
+  mutable s_launches : int;
+  mutable s_batches : int;
+  mutable s_batched_requests : int;
+  mutable s_steals : int;
+  mutable s_retries : int;
+  mutable s_relaunches : int;
+}
 
-(* --- the fleet loop ----------------------------------------------------- *)
+(* Fleet-wide device totals, folded per member launch in launch order. *)
+type device_totals = {
+  mutable blocks : int;
+  mutable sim_cycles : float;
+  mutable global_loads : int;
+  mutable global_stores : int;
+  mutable atomics : int;
+  mutable device_failures : int;
+  mutable faults : Gpusim.Fault.stats;
+}
 
-let run conf ?(run = Gpusim.Run.default) specs =
+(* --- state and report helpers ------------------------------------------ *)
+
+let validate conf =
   if conf.shards < 1 then invalid_arg "Fleet.run: shards must be >= 1";
   if conf.batch < 1 then invalid_arg "Fleet.run: batch must be >= 1";
-  let base = conf.base in
-  if base.Service.servers < 1 then
+  if conf.base.Service.servers < 1 then
     invalid_arg "Fleet.run: servers must be >= 1";
-  if base.Service.queue_bound < 0 then
+  if conf.base.Service.queue_bound < 0 then
     invalid_arg "Fleet.run: negative queue bound";
-  if base.Service.breaker < 0 then
+  if conf.base.Service.breaker < 0 then
     invalid_arg "Fleet.run: negative breaker threshold";
-  if base.Service.window <= 0.0 then
+  if conf.base.Service.window <= 0.0 then
     invalid_arg "Fleet.run: window must be > 0";
   if conf.decay < 0 then invalid_arg "Fleet.run: negative affinity decay";
-  (* heterogeneity: each shard carries a device config, the [devices]
-     list cycled across shard ids; [] keeps the pre-zoo homogeneous
-     fleet on the base device.  Every config re-validates here so a
-     hand-built impossible device fails before any request moves. *)
+  (* every device re-validates here, so a hand-built impossible device
+     fails before any request moves *)
   List.iter
     (fun d -> ignore (Gpusim.Config.checked d : Gpusim.Config.t))
-    conf.devices;
-  let devs =
+    conf.devices
+
+let new_shard conf sid =
+  let base = conf.base in
+  {
+    sid;
+    queue = Admission.create ~weight:(weight_of conf);
+    breakers =
+      Breaker.create ~threshold:base.Service.breaker
+        ~cooldown:(8.0 *. base.Service.backoff);
+    conc = base.Service.servers;
+    busy = 0;
+    s_placed = 0;
+    s_launches = 0;
+    s_batches = 0;
+    s_batched_requests = 0;
+    s_steals = 0;
+    s_retries = 0;
+    s_relaunches = 0;
+  }
+
+let zero_counters = Counters.create ()
+
+let never_ran ~shard (p : Admission.pending) outcome now =
+  {
+    spec = p.spec;
+    shard;
+    outcome;
+    attempts = p.attempts;
+    launches = p.launches;
+    batched = 0;
+    stolen = p.stolen;
+    start = -1.0;
+    finish = now;
+    latency = now -. p.spec.Request.at;
+    compile_ticks = 0.0;
+    exec_ticks = 0.0;
+    cache = Service.C_none;
+    checksum = 0.0;
+    counters = zero_counters;
+  }
+
+let add_launch dev (m : Batch.member) =
+  dev.blocks <- dev.blocks + m.m_grid;
+  dev.sim_cycles <- dev.sim_cycles +. m.m_exec;
+  dev.global_loads <- dev.global_loads + m.m_counters.Counters.global_loads;
+  dev.global_stores <- dev.global_stores + m.m_counters.Counters.global_stores;
+  dev.atomics <- dev.atomics + m.m_counters.Counters.atomics;
+  dev.faults <- Gpusim.Fault.add_stats dev.faults m.m_faults;
+  if m.m_failed then dev.device_failures <- dev.device_failures + 1
+
+let shard_stats placement tally s =
+  let n = Metrics.count tally in
+  {
+    Metrics.shard = s.sid;
+    s_device = (Placement.device placement s.sid).Gpusim.Config.name;
+    s_placed = s.s_placed;
+    s_completed = n Service.Completed;
+    s_shed = n Service.Rejected + n Service.Shed;
+    s_shed_slo = n Service.Shed_slo;
+    s_timed_out = n Service.Timed_out;
+    s_degraded = n Service.Degraded;
+    s_launches = s.s_launches;
+    s_batches = s.s_batches;
+    s_batched_requests = s.s_batched_requests;
+    s_steals = s.s_steals;
+    s_queue_max = Admission.peak s.queue;
+    s_breaker_opens = Breaker.opens s.breakers;
+    s_breakers_open = Breaker.open_now s.breakers;
+    s_retries = s.s_retries;
+    s_relaunches = s.s_relaunches;
+    s_conc = s.conc;
+  }
+
+let tenant_stats conf evictions t tally =
+  let n = Metrics.count tally in
+  {
+    Metrics.tenant = t;
+    weight = weight_of conf t;
+    t_requests = Metrics.requests tally;
+    t_completed = n Service.Completed;
+    t_shed = n Service.Rejected + n Service.Shed;
+    t_shed_slo = n Service.Shed_slo;
+    t_timed_out = n Service.Timed_out;
+    t_degraded = n Service.Degraded;
+    t_evicted = Option.value ~default:0 (Hashtbl.find_opt evictions t);
+    t_latency_mean = Ompsimd_util.Stats.mean (Metrics.latencies tally);
+  }
+
+(* --- the event loop ------------------------------------------------------ *)
+
+let run conf ?(run = Gpusim.Run.default) specs =
+  validate conf;
+  let base = conf.base in
+  let placement =
     let n = List.length conf.devices in
-    Array.init conf.shards (fun sid ->
-        if n = 0 then base.Service.cfg else List.nth conf.devices (sid mod n))
-  in
-  let devnames =
-    (* distinct device names, sorted: the affinity cost table and the
-       exploration hash are keyed on names, never shard ids, so every
-       placement decision is invariant under permuting the device
-       multiset across shards *)
-    List.sort_uniq String.compare
-      (Array.to_list (Array.map (fun (d : Gpusim.Config.t) -> d.Gpusim.Config.name) devs))
-  in
-  let hetero = List.length devnames > 1 in
-  let ring = make_ring conf.shards in
-  (* Device-group sub-rings label their vnodes by (device name, member
-     index within the group), not by raw shard id: the content ->
-     group-member mapping is then invariant under shuffling the device
-     multiset across shard ids, which is what makes heterogeneous
-     results shuffle-invariant (the member's id changes, its workload
-     does not). *)
-  let group_points dn =
-    let sids =
-      Array.of_list
-        (List.filter
-           (fun sid -> devs.(sid).Gpusim.Config.name = dn)
-           (List.init conf.shards Fun.id))
-    in
-    Array.init
-      (Array.length sids * ring_points)
-      (fun i ->
-        let j = i / ring_points and v = i mod ring_points in
-        ( hash_pos
-            (Printf.sprintf "ompserve-dev-%s-member-%d-vnode-%d" dn j v),
-          sids.(j) ))
-  in
-  let subrings : (string, (int * int) array) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun dn ->
-      let a = group_points dn in
-      Array.sort compare a;
-      Hashtbl.add subrings dn a)
-    devnames;
-  let subring dn = Hashtbl.find subrings dn in
-  let dev_by_name : (string, Gpusim.Config.t) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun (d : Gpusim.Config.t) ->
-      if not (Hashtbl.mem dev_by_name d.Gpusim.Config.name) then
-        Hashtbl.add dev_by_name d.Gpusim.Config.name d)
-    devs;
-  (* A device can host a request only if the launch geometry fits: the
-     thread count must be a positive multiple of ITS warp width (warp
-     widths differ across the zoo) within its block limit.  Placement
-     and stealing both respect this, so a 32-thread request never lands
-     on a 64-lane wavefront device that would reject the launch. *)
-  let fits (cfg : Gpusim.Config.t) (spec : Request.spec) =
-    spec.Request.threads > 0
-    && spec.Request.threads mod cfg.Gpusim.Config.warp_size = 0
-    && spec.Request.threads <= cfg.Gpusim.Config.max_threads_per_block
-  in
-  let fits_name dn spec = fits (Hashtbl.find dev_by_name dn) spec in
-  (* rings over unions of device groups (for hetero fleets with
-     affinity off, or when geometry rules out some groups): the union
-     of the groups' member-labelled points, so these too are invariant
-     under device shuffles; built lazily, memoized by the name list *)
-  let union_rings : (string, (int * int) array) Hashtbl.t = Hashtbl.create 4 in
-  let ring_for names =
-    let key = String.concat "," names in
-    match Hashtbl.find_opt union_rings key with
-    | Some r -> r
-    | None ->
-        let r = Array.concat (List.map group_points names) in
-        Array.sort compare r;
-        Hashtbl.add union_rings key r;
-        r
-  in
-  (* Member labels: a shard is named by its device and its index within
-     that device's group (in shard-id order) — "smX/j", the same j that
-     labels the group sub-ring's vnodes.  Telemetry emits and the
-     autoscaler contends for pool tokens in label order, never shard-id
-     order, so both replay byte-identically under device shuffles. *)
-  let labels =
-    let seen : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    Array.map
-      (fun (d : Gpusim.Config.t) ->
-        let dn = d.Gpusim.Config.name in
-        let j = Option.value ~default:0 (Hashtbl.find_opt seen dn) in
-        Hashtbl.replace seen dn (j + 1);
-        Printf.sprintf "%s/%d" dn j)
-      devs
-  in
-  let label_order =
-    let o = Array.init conf.shards Fun.id in
-    Array.sort (fun a b -> String.compare labels.(a) labels.(b)) o;
-    o
+    Placement.create ~affinity:conf.affinity ~decay:conf.decay
+      ~window:base.Service.window
+      ~devices:
+        (Array.init conf.shards (fun sid ->
+             if n = 0 then base.Service.cfg
+             else List.nth conf.devices (sid mod n)))
   in
   let slo = base.Service.slo in
   (* 512 retained latency samples per shard per window: enough for a
@@ -394,7 +260,7 @@ let run conf ?(run = Gpusim.Run.default) specs =
         ring = 512;
         emit = conf.telemetry;
       }
-      ~labels ~base_conc:base.Service.servers
+      ~labels:(Placement.labels placement) ~base_conc:base.Service.servers
   in
   let asc = Autoscale.create conf.autoscale ~shards:conf.shards in
   (* Effective p99 per shard / fleet-wide, carried across sample-less
@@ -404,135 +270,28 @@ let run conf ?(run = Gpusim.Run.default) specs =
   let carry = Array.make conf.shards 0.0 in
   let carry_fleet = ref 0.0 in
   let shedding = ref false in
-  (* per-(content, device-name) observed member cycles; the affinity
-     estimator is the *minimum* observed exec, not a moving average:
-     min is commutative and idempotent, so the table's state at any
-     virtual instant is a pure function of the set of finishes before
-     it — simultaneous finishes can process in any order without
-     perturbing a single placement decision.  With [decay] > 0 the
-     minima are kept per telemetry window and entries older than the
-     horizon expire lazily: a device unmeasured for [decay] windows
-     costs 0.0 again and gets re-explored, so a nonstationary trace
-     can walk away from a stale optimum.  The window index is a pure
-     function of virtual time, so expiry preserves every determinism
-     and shuffle-invariance property of the all-time table. *)
-  let aff : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let aff_key ckey dn = ckey ^ "\x00" ^ dn in
-  let wix now =
-    if conf.decay = 0 then 0
-    else int_of_float (now /. base.Service.window)
-  in
-  let prune_entries now l =
-    if conf.decay = 0 then l
-    else
-      let cur = wix now in
-      List.filter (fun (w, _) -> w > cur - conf.decay) l
-  in
-  let observe_exec now ckey dn exec =
-    let k = aff_key ckey dn in
-    let w = wix now in
-    let r =
-      match Hashtbl.find_opt aff k with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add aff k r;
-          r
-    in
-    let live = prune_entries now !r in
-    r :=
-      (match List.assoc_opt w live with
-      | Some c when c <= exec -> live
-      | Some _ -> (w, exec) :: List.remove_assoc w live
-      | None -> (w, exec) :: live)
-  in
-  let aff_cost now ckey dn =
-    match Hashtbl.find_opt aff (aff_key ckey dn) with
-    | None -> 0.0
-    | Some r -> (
-        match prune_entries now !r with
-        | [] -> 0.0
-        | live ->
-            r := live;
-            List.fold_left (fun acc (_, c) -> Float.min acc c) infinity live)
-  in
-  let cache = Cache.create ~capacity:base.Service.cache_capacity in
+  let batcher = Batch.create base ~memo:conf.memo ~run in
   let heap = Eheap.create () in
-  let shards =
-    Array.init conf.shards (fun sid ->
-        {
-          sid;
-          queue = [];
-          conc = base.Service.servers;
-          busy = 0;
-          breakers = Hashtbl.create 16;
-          s_placed = 0;
-          s_queue_max = 0;
-          s_launches = 0;
-          s_batches = 0;
-          s_batched_requests = 0;
-          s_steals = 0;
-          s_breaker_opens = 0;
-          s_retries = 0;
-          s_relaunches = 0;
-        })
-  in
+  let shards = Array.init conf.shards (new_shard conf) in
   let reports = ref [] in
-  let retries = ref 0 in
   let inflight_max = ref 0 in
-  let launches = ref 0 in
-  let blocks = ref 0 in
-  let sim_cycles = ref 0.0 in
-  let global_loads = ref 0 in
-  let global_stores = ref 0 in
-  let atomics = ref 0 in
-  let device_failures = ref 0 in
-  let relaunches = ref 0 in
   let recovered = ref 0 in
-  let breaker_opens = ref 0 in
   let autoscale_grows = ref 0 in
   let autoscale_shrinks = ref 0 in
-  let breaker_reopens = ref 0 in
-  let fault_stats = ref Gpusim.Fault.zero_stats in
   let last_time = ref 0.0 in
-  let memo_hits = ref 0 in
   let affinity_moves = ref 0 in
-  let tenant_evictions = ref 0 in
-  let evictions_by_tenant : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  (* virtual single-flight: the compile service is fleet-shared, like
-     the host artifact cache — a shard can join a neighbour's window *)
-  let compiling : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  (* content-keyed launch memo; only consulted with faults disarmed *)
-  let memo : (string, member) Hashtbl.t = Hashtbl.create 64 in
-  let memo_armed = Gpusim.Run.armed run in
-  (* Both key strings are pure functions of (template, size, guardize)
-     under this run's fixed knobs, and both start from the instantiated
-     IR's digest — which unrolls with the size on chain-style kernels
-     and dominates host time on repeat-heavy traces if paid per
-     placement and per breaker lookup.  One build and one digest per
-     distinct content serve the content key and the cache key alike. *)
-  let keys_memo : (string * int * bool, string * string) Hashtbl.t =
-    Hashtbl.create 16
+  let evictions : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let dev =
+    {
+      blocks = 0;
+      sim_cycles = 0.0;
+      global_loads = 0;
+      global_stores = 0;
+      atomics = 0;
+      device_failures = 0;
+      faults = Gpusim.Fault.zero_stats;
+    }
   in
-  (* the keys, plus the IR when this call had to build it *)
-  let keys_of (spec : Request.spec) =
-    let k = (spec.Request.kernel, spec.Request.size, spec.Request.guardize) in
-    match Hashtbl.find_opt keys_memo k with
-    | Some keys -> (keys, None)
-    | None ->
-        let knobs =
-          { base.Service.knobs with Offload.guardize = spec.Request.guardize }
-        in
-        let ir = Request.kernel_of_spec spec in
-        let digest = Ompir.Kdigest.hex ir in
-        let keys =
-          ( content_key_of_digest ~knobs spec digest,
-            Offload.cache_key_of_digest ~knobs digest )
-        in
-        Hashtbl.add keys_memo k keys;
-        (keys, Some ir)
-  in
-  let okey_of spec = snd (fst (keys_of spec)) in
   (* every record call is a terminal outcome: the report list and the
      telemetry stream see exactly the same events *)
   let record r =
@@ -540,122 +299,21 @@ let run conf ?(run = Gpusim.Run.default) specs =
     Telemetry.observe_terminal tele ~shard:r.shard r.outcome ~latency:r.latency
       ~slo
   in
-  let zero_counters = Counters.create () in
-  let never_ran ~shard (p : pending) outcome now =
-    {
-      spec = p.spec;
-      shard;
-      outcome;
-      attempts = p.attempts;
-      launches = p.launches;
-      batched = 0;
-      stolen = p.stolen;
-      start = -1.0;
-      finish = now;
-      latency = now -. p.spec.Request.at;
-      compile_ticks = 0.0;
-      exec_ticks = 0.0;
-      cache = Service.C_none;
-      checksum = 0.0;
-      counters = zero_counters;
-    }
-  in
-  (* --- per-shard circuit breakers -------------------------------------
-     Closed counts consecutive device failures; at [base.breaker] of
-     them it opens and sheds every dispatch of that key as Degraded.
-     After a cooldown of [8 * backoff] ticks the next dispatch is the
-     single half-open probe: success closes, failure reopens.  The table
-     is the shard's own: a flaky kernel opens its breaker where it runs,
-     neighbours keep serving it. *)
-  let breaker_for (s : shard_state) key =
-    match Hashtbl.find_opt s.breakers key with
-    | Some b -> b
-    | None ->
-        let b = { consecutive = 0; br = Br_closed } in
-        Hashtbl.add s.breakers key b;
-        b
-  in
-  let breaker_cooldown = 8.0 *. base.Service.backoff in
-  (* `Admit = closed; `Probe = the half-open probe (launch solo);
-     `Shed = open or another probe in flight *)
-  let breaker_admit (s : shard_state) key now =
-    if base.Service.breaker = 0 then `Admit
-    else
-      let b = breaker_for s key in
-      match b.br with
-      | Br_closed -> `Admit
-      | Br_probing -> `Shed
-      | Br_open opened_at ->
-          if now >= opened_at +. breaker_cooldown then begin
-            b.br <- Br_probing;
-            `Probe
-          end
-          else `Shed
-  in
-  let breaker_ok (s : shard_state) key =
-    if base.Service.breaker > 0 then begin
-      let b = breaker_for s key in
-      b.consecutive <- 0;
-      b.br <- Br_closed
-    end
-  in
-  let breaker_fail (s : shard_state) key now =
-    if base.Service.breaker > 0 then begin
-      let b = breaker_for s key in
-      b.consecutive <- b.consecutive + 1;
-      match b.br with
-      | Br_probing ->
-          b.br <- Br_open now;
-          incr breaker_opens;
-          s.s_breaker_opens <- s.s_breaker_opens + 1
-      | Br_closed when b.consecutive >= base.Service.breaker ->
-          b.br <- Br_open now;
-          incr breaker_opens;
-          s.s_breaker_opens <- s.s_breaker_opens + 1
-      | Br_closed | Br_open _ -> ()
-    end
-  in
-  (* --- queue plumbing --------------------------------------------------- *)
-  let better (a : pending) (b : pending) =
-    let x = a.spec and y = b.spec in
-    x.Request.priority > y.Request.priority
-    || (x.Request.priority = y.Request.priority
-       && (x.Request.at < y.Request.at
-          || (x.Request.at = y.Request.at && x.Request.id < y.Request.id)))
-  in
-  let pop_queue_where pred (s : shard_state) =
-    match List.filter pred s.queue with
-    | [] -> None
-    | first :: rest ->
-        let best =
-          List.fold_left (fun best p -> if better p best then p else best) first rest
-        in
-        s.queue <- List.filter (fun p -> p != best) s.queue;
-        Some best
-  in
-  let pop_queue s = pop_queue_where (fun _ -> true) s in
-  (* Executor headroom and an empty queue: the dispatch sweep after
-     this event launches the request at once, so it passes through
-     past the bound without counting toward the queue peak. *)
-  let passes_through (s : shard_state) = s.busy < s.conc && s.queue = [] in
-  let enqueue (s : shard_state) p =
-    if passes_through s then s.queue <- [ p ]
-    else begin
-      s.queue <- p :: s.queue;
-      let depth = List.length s.queue in
-      s.s_queue_max <- max s.s_queue_max depth;
-      Telemetry.observe_queue_depth tele ~shard:s.sid depth
-    end
-  in
-  let expired (p : pending) now =
-    match p.spec.Request.deadline with Some d when now >= d -> true | _ -> false
+  (* Executor headroom and an empty queue: the dispatch sweep after this
+     event launches the request at once, so it passes through past the
+     bound without counting toward the queue peak. *)
+  let passes_through s = s.busy < s.conc && Admission.length s.queue = 0 in
+  let enqueue s p =
+    let through = passes_through s in
+    Admission.push s.queue ~through p;
+    if not through then
+      Telemetry.observe_queue_depth tele ~shard:s.sid (Admission.length s.queue)
   in
   (* admission failure (full queue / fairness loss): retry with
      exponential backoff, shared by newcomers and evictees *)
-  let retry_or_drop ~shard now (p : pending) =
+  let retry_or_drop s now (p : Admission.pending) =
     if p.attempts <= base.Service.max_retries then begin
-      incr retries;
-      shards.(shard).s_retries <- shards.(shard).s_retries + 1;
+      s.s_retries <- s.s_retries + 1;
       let wait =
         base.Service.backoff *. (2.0 ** float_of_int (p.attempts - 1))
       in
@@ -663,607 +321,267 @@ let run conf ?(run = Gpusim.Run.default) specs =
     end
     else
       record
-        (never_ran ~shard p
+        (never_ran ~shard:s.sid p
            (if base.Service.max_retries = 0 then Service.Rejected
             else Service.Shed)
            now)
   in
-  (* --- weighted-fair eviction ------------------------------------------ *)
-  (* Occupancy of tenant t on this queue, over its weight: the tenant
-     maximizing occ/weight is the hog.  Integer cross-multiplication
-     keeps the comparison exact; ties break toward the lexicographically
-     greater name so the decision is total. *)
-  let fair_victim_tenant (s : shard_state) =
-    let occ : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (p : pending) ->
-        let t = p.spec.Request.tenant in
-        Hashtbl.replace occ t (1 + Option.value ~default:0 (Hashtbl.find_opt occ t)))
-      s.queue;
-    Hashtbl.fold
-      (fun t o best ->
-        let w = weight_of conf t in
-        match best with
-        | None -> Some (t, o, w)
-        | Some (bt, bo, bw) ->
-            if
-              o * bw > bo * w
-              || (o * bw = bo * w && String.compare t bt > 0)
-            then Some (t, o, w)
-            else best)
-      occ None
-  in
-  (* the newest non-relaunched entry of the victim tenant (the queue
-     list is push-front, so the first match from the head is newest) *)
-  let evict_newest_of (s : shard_state) tenant =
-    let rec split acc = function
-      | [] -> None
-      | (p : pending) :: rest ->
-          if p.spec.Request.tenant = tenant && not p.relaunched then begin
-            s.queue <- List.rev_append acc rest;
-            Some p
-          end
-          else split (p :: acc) rest
-    in
-    split [] s.queue
-  in
-  (* --- placement --------------------------------------------------------- *)
-  (* Where a (re-)arrival lands.  A [device=] pin wins when some shard
-     carries it; then the affinity table picks the device name whose
-     observed cost for this content is lowest (unmeasured devices cost
-     0.0, so every device gets explored before any is ruled out), and
-     the device group's sub-ring picks the shard.  Exploration ties
-     break by hashing the content key over the tied *names* — never a
-     shard id — so the request->device assignment, and with it every
-     launch result, is invariant under shuffling the device multiset
-     across shard ids. *)
-  let place_for now (p : pending) =
-    if not hetero then place ring p.ckey
-    else begin
-      let cands = List.filter (fun dn -> fits_name dn p.spec) devnames in
-      (* no device fits: fall through to the plain ring and let the
-         launch fail exactly as a homogeneous fleet would *)
-      let cands = if cands = [] then devnames else cands in
-      let pinned =
-        match p.spec.Request.device with
-        | Some dn when List.mem dn cands -> Some dn
-        | _ -> None
-      in
-      match pinned with
-      | Some dn -> place (subring dn) p.ckey
-      | None ->
-          if not conf.affinity then place (ring_for cands) p.ckey
-          else begin
-            let costs =
-              List.map (fun dn -> (dn, aff_cost now p.ckey dn)) cands
-            in
-            let best =
-              List.fold_left (fun acc (_, c) -> Float.min acc c) infinity costs
-            in
-            let tied = List.filter (fun (_, c) -> c = best) costs in
-            let dn, _ = List.nth tied (hash_pos p.ckey mod List.length tied) in
-            place (subring dn) p.ckey
-          end
-    end
-  in
-  (* --- launching -------------------------------------------------------- *)
-  let real_launch ~cfg compiled (p : pending) inst =
-    let _kernel, bindings, out = Lazy.force inst in
-    let spec = p.spec in
-    let clauses =
-      Clause.(
-        none
-        |> num_teams spec.Request.teams
-        |> num_threads spec.Request.threads
-        |> simdlen spec.Request.simdlen)
-    in
-    let run = Gpusim.Run.pin run (nonce_for spec ~launches:p.launches) in
-    match Offload.run ~cfg ~run ~clauses ~bindings compiled with
-    | report ->
-        {
-          m_pending = { p with launches = p.launches + 1 };
-          m_exec = report.Gpusim.Device.time_cycles;
-          m_failed = report.Gpusim.Device.failures <> [];
-          m_checksum = Request.checksum out;
-          m_grid = report.Gpusim.Device.grid;
-          m_counters = report.Gpusim.Device.counters;
-          m_faults = report.Gpusim.Device.faults;
-        }
-    | exception Gpusim.Engine.Deadlock _ ->
-        {
-          m_pending = { p with launches = p.launches + 1 };
-          m_exec = 0.0;
-          m_failed = true;
-          m_checksum = 0.0;
-          m_grid = 0;
-          m_counters = zero_counters;
-          m_faults = Gpusim.Fault.zero_stats;
-        }
-  in
-  let launch_member (s : shard_state) compiled ((p : pending), inst) =
-    let p = { p with ir = None } in
-    let cfg = devs.(s.sid) in
-    (* the memo keys on content *and* device: exec cycles (and under a
-       zoo config, occupancy and counters) are functions of the device,
-       so a result observed on one config must never serve another *)
-    let mkey = p.mkey ^ "|" ^ cfg.Gpusim.Config.name in
-    if conf.memo && not memo_armed then
-      match Hashtbl.find_opt memo mkey with
-      | Some m ->
-          incr memo_hits;
-          (* the memo stores content results; pending bookkeeping
-             (attempts, shard, steal provenance) is this request's own *)
-          { m with m_pending = { p with launches = p.launches + 1 } }
-      | None ->
-          let m = real_launch ~cfg compiled p inst in
-          (* a failed result is still memoizable: with no fault plan
-             armed, failure (watchdog, genuine deadlock) is as
-             deterministic as success *)
-          Hashtbl.add memo mkey m;
-          m
-    else real_launch ~cfg compiled p inst
-  in
-  let account (s : shard_state) (m : member) =
-    incr launches;
+  let account s (m : Batch.member) =
     s.s_launches <- s.s_launches + 1;
     Telemetry.observe_launch tele ~shard:s.sid ~failed:m.m_failed;
-    blocks := !blocks + m.m_grid;
-    sim_cycles := !sim_cycles +. m.m_exec;
-    global_loads := !global_loads + m.m_counters.Counters.global_loads;
-    global_stores := !global_stores + m.m_counters.Counters.global_stores;
-    atomics := !atomics + m.m_counters.Counters.atomics;
-    fault_stats := Gpusim.Fault.add_stats !fault_stats m.m_faults;
-    if m.m_failed then incr device_failures
+    add_launch dev m
   in
-  (* Dispatch [members] (leader first) as one merged grid on [s].
-     Consumes one server; false when the batch terminated without one
-     (compile failure). *)
-  let start_batch now (s : shard_state) (members_p : pending list) =
-    let leader = List.hd members_p in
-    let knobs =
-      { base.Service.knobs with Offload.guardize = leader.spec.Request.guardize }
-    in
-    (* Each member instantiates lazily: a memo hit never builds its
-       bindings.  Instantiation reuses the IR a first arrival built for
-       its keys, and the leader's also supplies the IR a miss compiles
-       and prices, so a cold first dispatch builds no IR at all. *)
-    let members_p =
-      List.map
-        (fun (p : pending) ->
-          (p, lazy (Request.instantiate ?kernel:p.ir p.spec)))
-        members_p
-    in
-    let kernel () =
-      let k, _, _ = Lazy.force (snd (List.hd members_p)) in
-      k
-    in
-    let key = okey_of leader.spec in
-    let status, result =
-      Cache.find_or_compile cache ~key ~compile:(fun () ->
-          Offload.compile_with ~knobs (kernel ()))
-    in
-    match result with
-    | Error _ ->
+  (* Dispatch [members] (leader first) as one merged grid on [s],
+     occupying one server until it finishes. *)
+  let start_batch now s members =
+    match Batch.launch batcher ~now (Placement.device placement s.sid) members with
+    | None ->
         List.iter
-          (fun (p, _) -> record (never_ran ~shard:s.sid p Service.Failed now))
-          members_p;
-        false
-    | Ok compiled ->
-        let b_cache, b_compile =
-          match status with
-          | `Miss ->
-              let c = Service.compile_cost (kernel ()) in
-              Hashtbl.replace compiling key (now +. c);
-              (Service.C_miss, c)
-          | `Hit | `Joined -> (
-              match Hashtbl.find_opt compiling key with
-              | Some done_at when done_at > now ->
-                  (Service.C_join, done_at -. now)
-              | _ -> (Service.C_hit, 0.0))
-        in
+          (fun p -> record (never_ran ~shard:s.sid p Service.Failed now))
+          members
+    | Some (l : Batch.launch) ->
         Telemetry.observe_cache tele ~shard:s.sid
-          ~hit:(b_cache <> Service.C_miss);
-        let members = List.map (launch_member s compiled) members_p in
-        List.iter (account s) members;
-        let k = List.length members in
+          ~hit:(l.cache <> Service.C_miss);
+        List.iter (account s) l.members;
+        let k = List.length l.members in
         if k >= 2 then begin
           s.s_batches <- s.s_batches + 1;
           s.s_batched_requests <- s.s_batched_requests + k
         end;
-        let b_exec =
-          List.fold_left (fun acc m -> max acc m.m_exec) 0.0 members
-          +. (merge_overhead *. float_of_int (k - 1))
-        in
         s.busy <- s.busy + 1;
         let busy = Array.fold_left (fun acc sh -> acc + sh.busy) 0 shards in
         inflight_max := max !inflight_max busy;
-        Eheap.push heap
-          (now +. b_compile +. b_exec)
-          0
-          (Finish
-             {
-               b_shard = s.sid;
-               b_members = members;
-               b_started = now;
-               b_compile;
-               b_cache;
-               b_key = key;
-             });
-        true
+        Eheap.push heap (now +. l.compile +. l.window) 0 (Finish (s.sid, now, l))
   in
-  (* Pull up to [batch - 1] same-content same-geometry mates out of the
-     shard's own queue, best-first; deadline-expired entries are left
-     behind for their own dispatch to time out. *)
-  let take_batch (s : shard_state) (leader : pending) now =
-    if conf.batch <= 1 then []
-    else begin
-      let compatible, rest =
-        List.partition
-          (fun (p : pending) -> p.bkey = leader.bkey && not (expired p now))
-          s.queue
-      in
-      let ordered = List.sort (fun a b -> if better a b then -1 else 1) compatible in
-      let rec take n = function
-        | [] -> ([], [])
-        | p :: tl ->
-            if n = 0 then ([], p :: tl)
-            else
-              let got, left = take (n - 1) tl in
-              (p :: got, left)
-      in
-      let mates, overflow = take (conf.batch - 1) ordered in
-      s.queue <- overflow @ rest;
-      mates
-    end
-  in
-  (* The deepest neighbour queue, ties to the lowest shard id.  On a
-     heterogeneous fleet stealing is a device-group affair: a thief
-     only raids shards carrying its own device — a foreign-width warp
-     could not launch the work anyway, and a cross-device steal would
-     make the executing device (and so the request's cycles) depend on
-     shard numbering, breaking shuffle invariance. *)
-  let steal_from (s : shard_state) =
+  (* The deepest neighbour queue within the thief's device group, ties
+     to the lowest shard id: a foreign-width warp could not launch the
+     work, and a cross-device steal would make a request's cycles depend
+     on shard numbering. *)
+  let steal_from s =
     if not conf.steal then None
     else begin
-      let raidable (v : shard_state) =
-        (not hetero)
-        || devs.(v.sid).Gpusim.Config.name = devs.(s.sid).Gpusim.Config.name
-      in
       let victim = ref None in
       Array.iter
-        (fun (v : shard_state) ->
-          if v.sid <> s.sid && raidable v then
-            let depth = List.length v.queue in
-            if depth > 0 then
-              match !victim with
-              | Some (_, best) when best >= depth -> ()
-              | _ -> victim := Some (v, depth))
+        (fun v ->
+          let depth = Admission.length v.queue in
+          if v.sid <> s.sid && depth > 0 && Placement.same_group placement v.sid s.sid
+          then
+            match !victim with
+            | Some (_, best) when best >= depth -> ()
+            | _ -> victim := Some (v, depth))
         shards;
       match !victim with
       | None -> None
-      | Some (v, _) -> (
-          match pop_queue v with
-          | None -> None
-          | Some p ->
+      | Some (v, _) ->
+          Option.map
+            (fun (p : Admission.pending) ->
               s.s_steals <- s.s_steals + 1;
               Telemetry.observe_steal tele ~shard:s.sid;
-              Some { p with stolen = true })
+              { p with stolen = true })
+            (Admission.pop v.queue)
     end
   in
-  let rec dispatch now (s : shard_state) =
-    if s.busy < s.conc then begin
+  let rec dispatch now s =
+    if s.busy < s.conc then
       let candidate =
-        match pop_queue s with Some p -> Some p | None -> steal_from s
+        match Admission.pop s.queue with Some p -> Some p | None -> steal_from s
       in
       match candidate with
       | None -> ()
       | Some p ->
-          (if expired p now then
+          (if Admission.expired p now then
              record (never_ran ~shard:s.sid p Service.Timed_out now)
            else
-             let key = okey_of p.spec in
-             match breaker_admit s key now with
+             match Breaker.admit s.breakers p.okey ~now with
              | `Shed -> record (never_ran ~shard:s.sid p Service.Degraded now)
              | `Probe ->
                  (* the half-open probe flies alone: one launch decides
-                    whether the breaker closes, a full batch should not
-                    ride on it *)
-                 ignore (start_batch now s [ p ] : bool)
+                    whether the breaker closes *)
+                 start_batch now s [ p ]
              | `Admit ->
-                 let mates = if p.stolen then [] else take_batch s p now in
-                 ignore (start_batch now s (p :: mates) : bool));
+                 let mates =
+                   if p.stolen then []
+                   else Admission.mates s.queue p ~now ~max:(conf.batch - 1)
+                 in
+                 start_batch now s (p :: mates));
           dispatch now s
-    end
   in
-  (* Is the newcomer's tenant already over its weighted share of its
-     home queue?  occ / depth > weight / total-weight, cross-multiplied
-     exact, over the tenants actually queued. *)
-  let over_share (s : shard_state) (p : pending) =
-    let depth = List.length s.queue in
-    depth > 0
-    &&
-    let t = p.spec.Request.tenant in
-    let occ =
-      List.length
-        (List.filter (fun (q : pending) -> q.spec.Request.tenant = t) s.queue)
-    in
-    occ > 0
-    &&
-    let names =
-      List.sort_uniq String.compare
-        (List.map (fun (q : pending) -> q.spec.Request.tenant) s.queue)
-    in
-    let total_w = List.fold_left (fun a n -> a + weight_of conf n) 0 names in
-    occ * total_w > weight_of conf t * depth
-  in
-  let arrive now (p : pending) =
-    (* placement happens at arrival-processing time, not trace-seed
-       time: a retry re-places, so a content key whose cheap device was
-       discovered between attempts migrates on its next arrival *)
-    let home = place_for now p in
+  let arrive now (p : Admission.pending) =
+    (* placement happens at arrival-processing time: a retry re-places,
+       so content whose cheap device was discovered between attempts
+       migrates on its next arrival *)
+    let s = shards.(Placement.home placement ~now p.ckey p.spec) in
     if p.attempts = 1 && not p.relaunched then begin
-      shards.(home).s_placed <- shards.(home).s_placed + 1;
-      if home <> place ring p.ckey then incr affinity_moves
+      s.s_placed <- s.s_placed + 1;
+      if s.sid <> Placement.plain placement p.ckey then incr affinity_moves
     end;
-    let s = shards.(home) in
     (* SLO-aware admission: while the fleet's windowed p99 is over the
        target, the lowest-priority class — and any tenant already over
-       its fair share of its home queue — is turned away with the
-       explicit Shed_slo outcome.  Relaunches are exempt: recovery
-       never loses an accepted request. *)
+       its fair share of its home queue — is turned away as Shed_slo.
+       Relaunches are exempt: recovery never loses an accepted request. *)
     if
       !shedding
       && (not p.relaunched)
-      && (p.spec.Request.priority <= 0 || over_share s p)
+      && (p.spec.Request.priority <= 0 || Admission.over_share s.queue p)
     then record (never_ran ~shard:s.sid p Service.Shed_slo now)
-    else if passes_through s || List.length s.queue < base.Service.queue_bound
+    else if
+      passes_through s || Admission.length s.queue < base.Service.queue_bound
     then enqueue s p
-    else begin
-      (* full queue: the weighted-fair decision *)
-      match fair_victim_tenant s with
-      | None -> retry_or_drop ~shard:s.sid now p
-      | Some (vt, vo, vw) ->
-          let nt = p.spec.Request.tenant in
-          let nw = weight_of conf nt in
-          let n_occ =
-            1
-            + List.length
-                (List.filter
-                   (fun (q : pending) -> q.spec.Request.tenant = nt)
-                   s.queue)
-          in
-          (* the newcomer (with its prospective slot) at least as
-             over-share as the hog: it is the hog — turn it away *)
-          if n_occ * vw >= vo * nw then retry_or_drop ~shard:s.sid now p
-          else begin
-            match evict_newest_of s vt with
-            | None -> retry_or_drop ~shard:s.sid now p
-            | Some victim ->
-                incr tenant_evictions;
-                Hashtbl.replace evictions_by_tenant vt
-                  (1
-                  + Option.value ~default:0
-                      (Hashtbl.find_opt evictions_by_tenant vt));
-                retry_or_drop ~shard:s.sid now victim;
-                enqueue s p
-          end
-    end
+    else
+      match Admission.contend s.queue p with
+      | `Refuse -> retry_or_drop s now p
+      | `Evict victim ->
+          let t = victim.spec.Request.tenant in
+          Hashtbl.replace evictions t
+            (1 + Option.value ~default:0 (Hashtbl.find_opt evictions t));
+          retry_or_drop s now victim;
+          enqueue s p
   in
-  let relaunch now sid (p : pending) =
-    let s = shards.(sid) in
-    if expired p now then record (never_ran ~shard:sid p Service.Timed_out now)
+  let relaunch now sid (p : Admission.pending) =
+    if Admission.expired p now then
+      record (never_ran ~shard:sid p Service.Timed_out now)
     else
       (* recovery re-enters past the admission bound: the request was
          already accepted *)
-      enqueue s { p with relaunched = true }
+      enqueue shards.(sid) { p with relaunched = true }
   in
-  let finish now (b : batch_run) =
-    let s = shards.(b.b_shard) in
+  let finish now sid started (l : Batch.launch) =
+    let s = shards.(sid) in
     s.busy <- s.busy - 1;
-    (* feed the affinity table: each healthy member's own cycles on
-       this shard's device (memo replays feed the same value back —
-       min is idempotent) *)
-    let dn = devs.(b.b_shard).Gpusim.Config.name in
+    (* feed the affinity table each healthy member's own cycles (memo
+       replays feed the same value back: min is idempotent) *)
     List.iter
-      (fun (m : member) ->
-        if not m.m_failed then observe_exec now m.m_pending.ckey dn m.m_exec)
-      b.b_members;
-    let k = List.length b.b_members in
+      (fun (m : Batch.member) ->
+        if not m.m_failed then
+          Placement.observe placement ~now ~shard:sid m.m_pending.ckey m.m_exec)
+      l.members;
+    let k = List.length l.members in
     List.iteri
-      (fun i (m : member) ->
+      (fun i (m : Batch.member) ->
         let p = m.m_pending in
-        let spec = p.spec in
-        let cache_status =
-          if i > 0 && b.b_cache = Service.C_miss then Service.C_join
-          else b.b_cache
-        in
         let finished outcome =
           record
             {
-              spec;
-              shard = s.sid;
+              spec = p.spec;
+              shard = sid;
               outcome;
               attempts = p.attempts;
               launches = p.launches;
               batched = k;
               stolen = p.stolen;
-              start = b.b_started;
+              start = started;
               finish = now;
-              latency = now -. spec.Request.at;
-              compile_ticks = b.b_compile;
+              latency = now -. p.spec.Request.at;
+              compile_ticks = l.compile;
               exec_ticks = m.m_exec;
-              cache = cache_status;
+              cache =
+                (if i > 0 && l.cache = Service.C_miss then Service.C_join
+                 else l.cache);
               checksum = m.m_checksum;
               counters = m.m_counters;
             }
         in
         let past_deadline =
-          match spec.Request.deadline with
-          | Some d when now > d -> true
-          | _ -> false
+          match p.spec.Request.deadline with Some d -> now > d | None -> false
         in
         if not m.m_failed then begin
-          breaker_ok s b.b_key;
+          Breaker.ok s.breakers p.okey;
           if p.launches > 1 && not past_deadline then incr recovered;
           finished (if past_deadline then Service.Timed_out else Service.Completed)
         end
         else begin
-          breaker_fail s b.b_key now;
+          Breaker.fail s.breakers p.okey ~now;
           if past_deadline then finished Service.Timed_out
           else if p.launches <= base.Service.max_retries then begin
-            incr relaunches;
             s.s_relaunches <- s.s_relaunches + 1;
-            Telemetry.observe_relaunch tele ~shard:s.sid;
+            Telemetry.observe_relaunch tele ~shard:sid;
             let wait =
               base.Service.backoff *. (2.0 ** float_of_int (p.launches - 1))
             in
-            Eheap.push heap (now +. wait) 1 (Relaunch (s.sid, p))
+            Eheap.push heap (now +. wait) 1 (Relaunch (sid, p))
           end
           else finished Service.Degraded
         end)
-      b.b_members
+      l.members
   in
-  let submit now (spec : Request.spec) =
-    let (ckey, _), ir = keys_of spec in
-    let bkey =
-      Printf.sprintf "%s|%dx%dx%d" ckey spec.Request.teams spec.Request.threads
-        spec.Request.simdlen
-    in
-    let mkey =
-      Printf.sprintf "%s|%d|%d" bkey spec.Request.size spec.Request.seed
-    in
-    arrive now
-      {
-        spec;
-        attempts = 1;
-        launches = 0;
-        ckey;
-        bkey;
-        mkey;
-        stolen = false;
-        relaunched = false;
-        ir;
-      }
-  in
-  (* --- seed the heap and drain it --------------------------------------- *)
-  List.iter
-    (fun (spec : Request.spec) -> Eheap.push heap spec.Request.at 1 (Submit spec))
-    specs;
-  (* Live shard state at a window boundary.  [advance] runs before the
-     boundary-crossing event is processed, and every event strictly
-     before the boundary already ran — so this is exactly the fleet's
-     state at the boundary instant. *)
+  (* Live shard state at a window boundary: [advance] runs before the
+     boundary-crossing event, so this is the state at the boundary. *)
   let sample sid =
     let s = shards.(sid) in
     {
-      Telemetry.sq_depth = List.length s.queue;
+      Telemetry.sq_depth = Admission.length s.queue;
       sq_conc = s.conc;
       sq_busy = s.busy;
-      sq_breakers_open =
-        Hashtbl.fold
-          (fun _ (b : breaker) n ->
-            match b.br with Br_closed -> n | Br_open _ | Br_probing -> n + 1)
-          s.breakers 0;
+      sq_breakers_open = Breaker.open_now s.breakers;
     }
   in
-  (* The control plane, evaluated once per closed telemetry window:
-     effective-p99 carry, the SLO shedding flag, the autoscaler step,
-     and the post-burst breaker fast-forward — then the window's
-     fleet/control line, after the decisions it records. *)
+  (* The control plane, once per closed telemetry window: effective-p99
+     carry, the SLO shedding flag, the autoscaler step and the breaker
+     fast-forward — then the window's control line, after the decisions
+     it records. *)
   let on_close (w : Telemetry.window) =
+    let idle (sw : Telemetry.shard_window) =
+      sw.w_sample.sq_depth = 0 && sw.w_sample.sq_busy = 0
+    in
     Array.iteri
       (fun sid (sw : Telemetry.shard_window) ->
-        if sw.Telemetry.w_samples > 0 then carry.(sid) <- sw.Telemetry.w_p99
-        else if
-          sw.Telemetry.w_sample.Telemetry.sq_depth = 0
-          && sw.Telemetry.w_sample.Telemetry.sq_busy = 0
-        then carry.(sid) <- 0.0)
-      w.Telemetry.per_shard;
-    (match slo with
-    | None -> ()
-    | Some slo_v ->
-        (if w.Telemetry.f_samples > 0 then carry_fleet := w.Telemetry.f_p99
-         else if
-           Array.for_all
-             (fun (sw : Telemetry.shard_window) ->
-               sw.Telemetry.w_sample.Telemetry.sq_depth = 0
-               && sw.Telemetry.w_sample.Telemetry.sq_busy = 0)
-             w.Telemetry.per_shard
-         then carry_fleet := 0.0);
-        shedding := conf.shed && !carry_fleet > slo_v);
+        if sw.w_samples > 0 then carry.(sid) <- sw.w_p99
+        else if idle sw then carry.(sid) <- 0.0)
+      w.per_shard;
+    Option.iter
+      (fun slo_v ->
+        if w.f_samples > 0 then carry_fleet := w.f_p99
+        else if Array.for_all idle w.per_shard then carry_fleet := 0.0;
+        shedding := conf.shed && !carry_fleet > slo_v)
+      slo;
     let grows = ref 0 and shrinks = ref 0 in
     let stats =
       Array.init conf.shards (fun sid ->
           {
             Autoscale.p99 = carry.(sid);
-            queued = w.Telemetry.per_shard.(sid).Telemetry.w_sample.Telemetry.sq_depth;
+            queued = w.per_shard.(sid).w_sample.sq_depth;
             conc = shards.(sid).conc;
           })
     in
     List.iter
       (fun (a : Autoscale.action) ->
-        let s = shards.(a.Autoscale.a_shard) in
-        match a.Autoscale.a_verdict with
+        let s = shards.(a.a_shard) in
+        match a.a_verdict with
         | Autoscale.Grow ->
             s.conc <- s.conc + 1;
-            incr grows;
-            incr autoscale_grows
+            incr grows
         | Autoscale.Shrink ->
             s.conc <- s.conc - 1;
-            incr shrinks;
-            incr autoscale_shrinks
+            incr shrinks
         | Autoscale.Hold -> ())
-      (Autoscale.step asc ~window:w.Telemetry.index ~order:label_order ~stats);
-    (* A breaker-isolated fault burst that has passed leaves open
-       breakers waiting out their full cooldown on a now-healthy shard.
-       With the autoscaler on, a window with zero device failures is the
-       all-clear: fast-forward the shard's open breakers so their next
-       dispatch is the half-open probe — success reopens the path
-       immediately, failure re-opens the breaker as usual.  Without it,
-       breakers wait out the full [8 * backoff] cooldown.  (Per-entry
-       mutation + a count: iteration order over the table cannot
-       matter.) *)
+      (Autoscale.step asc ~window:w.index
+         ~order:(Placement.label_order placement) ~stats);
+    autoscale_grows := !autoscale_grows + !grows;
+    autoscale_shrinks := !autoscale_shrinks + !shrinks;
+    (* A passed fault burst leaves open breakers cooling down on a
+       now-healthy shard.  With the autoscaler on, a window with zero
+       device failures is the all-clear: the shard's next dispatch of
+       such a key is the half-open probe.  Without it, breakers wait
+       out the full cooldown. *)
     let reopens = ref 0 in
-    if base.Service.breaker > 0 && conf.autoscale.Autoscale.enabled then
+    if conf.autoscale.Autoscale.enabled then
       Array.iteri
         (fun sid (sw : Telemetry.shard_window) ->
-          if sw.Telemetry.w_dev_failures = 0 then
-            Hashtbl.iter
-              (fun _ (b : breaker) ->
-                match b.br with
-                | Br_open opened_at
-                  when opened_at +. breaker_cooldown > w.Telemetry.t1 ->
-                    b.br <-
-                      Br_open (w.Telemetry.t1 -. breaker_cooldown -. 1.0);
-                    incr reopens;
-                    incr breaker_reopens
-                | Br_open _ | Br_closed | Br_probing -> ())
-              shards.(sid).breakers)
-        w.Telemetry.per_shard;
-    let conc_total = Array.fold_left (fun a s -> a + s.conc) 0 shards in
-    let queued_total =
-      Array.fold_left (fun a s -> a + List.length s.queue) 0 shards
-    in
-    let tenants_occ =
-      let occ : (string, int) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun s ->
-          List.iter
-            (fun (p : pending) ->
-              let t = p.spec.Request.tenant in
-              Hashtbl.replace occ t
-                (1 + Option.value ~default:0 (Hashtbl.find_opt occ t)))
-            s.queue)
-        shards;
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) occ [])
-    in
+          if sw.w_dev_failures = 0 then
+            reopens :=
+              !reopens + Breaker.fast_forward shards.(sid).breakers ~at:w.t1)
+        w.per_shard;
+    let queues = Array.to_list (Array.map (fun s -> s.queue) shards) in
     Telemetry.emit_control tele w ~shedding:!shedding ~grows:!grows
-      ~shrinks:!shrinks ~reopens:!reopens ~conc:conc_total
-      ~pool_left:(Autoscale.pool_left asc) ~queued:queued_total
-      ~tenants:tenants_occ
+      ~shrinks:!shrinks ~reopens:!reopens
+      ~conc:(Array.fold_left (fun a s -> a + s.conc) 0 shards)
+      ~pool_left:(Autoscale.pool_left asc)
+      ~queued:(List.fold_left (fun a q -> a + Admission.length q) 0 queues)
+      ~tenants:(Admission.occupancy queues)
   in
+  List.iter
+    (fun (spec : Request.spec) -> Eheap.push heap spec.Request.at 1 (Submit spec))
+    specs;
   let rec loop () =
     match Eheap.pop heap with
     | None -> ()
@@ -1273,15 +591,14 @@ let run conf ?(run = Gpusim.Run.default) specs =
            runs: control decisions land exactly on the boundary *)
         Telemetry.advance tele now ~sample ~on_close;
         (match ev with
-        | Submit spec -> submit now spec
+        | Submit spec -> arrive now (Batch.pending batcher spec)
         | Arrive p -> arrive now p
         | Relaunch (sid, p) -> relaunch now sid p
-        | Finish b -> finish now b);
+        | Finish (sid, started, l) -> finish now sid started l);
         (* the work-conserving sweep: every event is a dispatch
            opportunity for the whole fleet, in shard order — an idle
-           shard only ever sees foreign queues through this, so without
-           it stealing could never fire (no shard gets events of its
-           own while its queue is empty) *)
+           shard only sees foreign queues through this, so without it
+           stealing could never fire *)
         Array.iter (dispatch now) shards;
         loop ()
   in
@@ -1293,157 +610,100 @@ let run conf ?(run = Gpusim.Run.default) specs =
         compare a.spec.Request.id b.spec.Request.id)
       !reports
   in
-  (* --- aggregates -------------------------------------------------------- *)
-  let count o = List.length (List.filter (fun r -> r.outcome = o) reports) in
-  let latencies =
-    reports
-    |> List.filter (fun r -> r.outcome = Service.Completed)
-    |> List.map (fun r -> r.latency)
-    |> Array.of_list
+  (* --- one fold of the terminal reports into fleet, shard and tenant
+     tallies ------------------------------------------------------------- *)
+  let all = Metrics.tally () in
+  let by_shard = Array.init conf.shards (fun _ -> Metrics.tally ()) in
+  let by_tenant : (string, Metrics.tally) Hashtbl.t = Hashtbl.create 8 in
+  let tenant_tally t =
+    match Hashtbl.find_opt by_tenant t with
+    | Some tl -> tl
+    | None ->
+        let tl = Metrics.tally () in
+        Hashtbl.add by_tenant t tl;
+        tl
   in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun tl -> Metrics.add tl r.outcome r.cache ~latency:r.latency)
+        [ all; by_shard.(r.shard); tenant_tally r.spec.Request.tenant ])
+    reports;
+  let n = Metrics.count all in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 shards in
+  let latencies = Metrics.latencies all in
   let mean, p50, p95, p99 = Metrics.percentiles latencies in
-  let cstat st = List.length (List.filter (fun r -> r.cache = st) reports) in
-  let queue_max =
-    Array.fold_left (fun acc s -> max acc s.s_queue_max) 0 shards
-  in
   let metrics =
     {
       Metrics.requests = List.length specs;
-      completed = count Service.Completed;
-      rejected = count Service.Rejected;
-      shed = count Service.Shed;
-      shed_slo = count Service.Shed_slo;
-      timed_out = count Service.Timed_out;
-      failed = count Service.Failed;
-      retries = !retries;
-      queue_max;
+      completed = n Service.Completed;
+      rejected = n Service.Rejected;
+      shed = n Service.Shed;
+      shed_slo = n Service.Shed_slo;
+      timed_out = n Service.Timed_out;
+      failed = n Service.Failed;
+      retries = sum (fun s -> s.s_retries);
+      queue_max =
+        Array.fold_left (fun a s -> max a (Admission.peak s.queue)) 0 shards;
       inflight_max = !inflight_max;
-      cache_hits = cstat Service.C_hit;
-      cache_misses = cstat Service.C_miss;
-      cache_evictions = (Cache.stats cache).Cache.evictions;
-      cache_joins = cstat Service.C_join;
+      cache_hits = Metrics.cached all Service.C_hit;
+      cache_misses = Metrics.cached all Service.C_miss;
+      cache_evictions = Batch.cache_evictions batcher;
+      cache_joins = Metrics.cached all Service.C_join;
       latency_mean = mean;
       latency_p50 = p50;
       latency_p95 = p95;
       latency_p99 = p99;
       makespan = !last_time;
-      sim_cycles = !sim_cycles;
-      launches = !launches;
-      blocks = !blocks;
-      global_loads = !global_loads;
-      global_stores = !global_stores;
-      atomics = !atomics;
-      device_failures = !device_failures;
-      relaunches = !relaunches;
+      sim_cycles = dev.sim_cycles;
+      launches = sum (fun s -> s.s_launches);
+      blocks = dev.blocks;
+      global_loads = dev.global_loads;
+      global_stores = dev.global_stores;
+      atomics = dev.atomics;
+      device_failures = dev.device_failures;
+      relaunches = sum (fun s -> s.s_relaunches);
       recovered = !recovered;
-      degraded = count Service.Degraded;
-      breaker_opens = !breaker_opens;
+      degraded = n Service.Degraded;
+      breaker_opens = sum (fun s -> Breaker.opens s.breakers);
       slo_violations =
         (match slo with
         | None -> 0
         | Some s ->
-            List.length
-              (List.filter
-                 (fun r -> r.outcome = Service.Completed && r.latency > s)
-                 reports));
+            Array.fold_left (fun a l -> if l > s then a + 1 else a) 0 latencies);
       autoscale_grows = !autoscale_grows;
       autoscale_shrinks = !autoscale_shrinks;
-      breaker_reopens = !breaker_reopens;
-      faults_corrected = !fault_stats.Gpusim.Fault.corrected;
-      faults_fatal = !fault_stats.Gpusim.Fault.fatal;
-      faults_stalls = !fault_stats.Gpusim.Fault.stalls;
-      faults_exhausts = !fault_stats.Gpusim.Fault.exhausts;
-      faults_watchdogs = !fault_stats.Gpusim.Fault.watchdogs;
+      breaker_reopens = sum (fun s -> Breaker.forwarded s.breakers);
+      faults_corrected = dev.faults.Gpusim.Fault.corrected;
+      faults_fatal = dev.faults.Gpusim.Fault.fatal;
+      faults_stalls = dev.faults.Gpusim.Fault.stalls;
+      faults_exhausts = dev.faults.Gpusim.Fault.exhausts;
+      faults_watchdogs = dev.faults.Gpusim.Fault.watchdogs;
     }
   in
-  let shard_stats =
-    Array.to_list
-      (Array.map
-         (fun (s : shard_state) ->
-           let on_shard o =
-             List.length
-               (List.filter (fun r -> r.shard = s.sid && r.outcome = o) reports)
-           in
-           {
-             Metrics.shard = s.sid;
-             s_device = devs.(s.sid).Gpusim.Config.name;
-             s_placed = s.s_placed;
-             s_completed = on_shard Service.Completed;
-             s_shed = on_shard Service.Rejected + on_shard Service.Shed;
-             s_shed_slo = on_shard Service.Shed_slo;
-             s_timed_out = on_shard Service.Timed_out;
-             s_degraded = on_shard Service.Degraded;
-             s_launches = s.s_launches;
-             s_batches = s.s_batches;
-             s_batched_requests = s.s_batched_requests;
-             s_steals = s.s_steals;
-             s_queue_max = s.s_queue_max;
-             s_breaker_opens = s.s_breaker_opens;
-             s_breakers_open =
-               Hashtbl.fold
-                 (fun _ (b : breaker) n ->
-                   match b.br with
-                   | Br_closed -> n
-                   | Br_open _ | Br_probing -> n + 1)
-                 s.breakers 0;
-             s_retries = s.s_retries;
-             s_relaunches = s.s_relaunches;
-             s_conc = s.conc;
-           })
-         shards)
-  in
-  let tenant_names =
-    List.sort_uniq String.compare
-      (List.map (fun (r : rq_report) -> r.spec.Request.tenant) reports
-      @ List.map fst conf.tenants)
-  in
+  List.iter (fun (t, _) -> ignore (tenant_tally t : Metrics.tally)) conf.tenants;
   let tenant_stats =
-    List.map
-      (fun t ->
-        let mine = List.filter (fun r -> r.spec.Request.tenant = t) reports in
-        let n o = List.length (List.filter (fun r -> r.outcome = o) mine) in
-        let completed_lat =
-          mine
-          |> List.filter (fun r -> r.outcome = Service.Completed)
-          |> List.map (fun r -> r.latency)
-        in
-        let lat_mean =
-          match completed_lat with
-          | [] -> 0.0
-          | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-        in
-        {
-          Metrics.tenant = t;
-          weight = weight_of conf t;
-          t_requests = List.length mine;
-          t_completed = n Service.Completed;
-          t_shed = n Service.Rejected + n Service.Shed;
-          t_shed_slo = n Service.Shed_slo;
-          t_timed_out = n Service.Timed_out;
-          t_degraded = n Service.Degraded;
-          t_evicted =
-            Option.value ~default:0 (Hashtbl.find_opt evictions_by_tenant t);
-          t_latency_mean = lat_mean;
-        })
-      tenant_names
-  in
-  let fleet =
-    {
-      batches = Array.fold_left (fun a s -> a + s.s_batches) 0 shards;
-      batched_requests =
-        Array.fold_left (fun a s -> a + s.s_batched_requests) 0 shards;
-      steals = Array.fold_left (fun a s -> a + s.s_steals) 0 shards;
-      tenant_evictions = !tenant_evictions;
-      memo_hits = !memo_hits;
-      affinity_moves = !affinity_moves;
-    }
+    Hashtbl.fold (fun t _ acc -> t :: acc) by_tenant []
+    |> List.sort String.compare
+    |> List.map (fun t ->
+           tenant_stats conf evictions t (Hashtbl.find by_tenant t))
   in
   {
     reports;
     metrics;
-    shard_stats;
+    shard_stats =
+      Array.to_list
+        (Array.map (fun s -> shard_stats placement by_shard.(s.sid) s) shards);
     tenant_stats;
-    fleet;
+    fleet =
+      {
+        batches = sum (fun s -> s.s_batches);
+        batched_requests = sum (fun s -> s.s_batched_requests);
+        steals = sum (fun s -> s.s_steals);
+        tenant_evictions = Hashtbl.fold (fun _ n a -> a + n) evictions 0;
+        memo_hits = Batch.memo_hits batcher;
+        affinity_moves = !affinity_moves;
+      };
     telemetry = Telemetry.jsonl tele;
   }
 

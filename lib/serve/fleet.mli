@@ -1,42 +1,38 @@
 (** The serve engine: N virtual devices behind one admission plane.
 
-    Each shard has a bounded admission queue, [servers] executors and
-    per-kernel circuit breakers, all driven by one global event heap in
-    virtual time.  This is the service's only event loop: the classic
-    {!Scheduler} is a one-shard fleet with every fleet feature off.
-    Requests are placed by a consistent-hash ring over their engine-free
-    content identity ({!Ompir.Kdigest} + guardize + resolved pass spec),
-    idle shards steal from the deepest neighbour queue, and a dispatching
-    shard drains same-content same-geometry queue mates into one merged
-    grid ({i launch batching}): one compile charge, one server, a merged
-    execution window, and exact per-request sub-reports (requests share
-    no simulator state, so splitting the merged report is lossless by
-    construction).
+    This is the service's only event loop: one heap in virtual time
+    drives every shard, and the classic {!Scheduler} is a one-shard
+    fleet with every fleet feature off.  The loop sequences decisions
+    that each live in their own module:
 
-    Admission is per-tenant weighted-fair: on a full queue the most
-    over-share tenant (queue occupancy over weight) loses its newest
-    slot to an under-share newcomer; the evictee re-enters the normal
-    retry-with-backoff path, so fairness never loses a request.
+    - {!Placement} routes an arrival by its engine-free content key
+      ({!Ompir.Kdigest} + guardize + resolved pass spec) over a
+      consistent-hash ring — on heterogeneous fleets, first to the
+      device whose minimum observed cycles for that content is lowest
+      (or a [device=] pin), then to a member of that device group;
+    - {!Admission} keeps each shard's queue and its per-tenant
+      weighted-fair eviction: on a full queue the most over-share
+      tenant loses its newest slot to an under-share newcomer, and the
+      evictee re-enters the normal retry-with-backoff path;
+    - {!Breaker} keeps each shard's per-kernel circuit breakers;
+    - {!Batch} launches a leader and its same-content same-geometry
+      queue mates as one merged grid: one compile charge, one server,
+      exact per-request sub-reports.
 
-    Heterogeneous fleets give each shard its own device config (the
-    [devices] list, usually {!Gpusim.Zoo} entries, cycled across shard
-    ids).  Placement then becomes (content, device)-aware: the fleet
-    tracks the minimum observed member cycles per (content key, device
-    name) and routes each arrival to the cheapest device's sub-ring —
-    hot kernels migrate to the architecture that runs them fastest,
-    and a trace can pin a request with [device=<zoo name>].  The
-    affinity estimator is deliberately a minimum, not a moving
-    average: min is order-insensitive, so placement stays deterministic
-    under simultaneous finishes.
+    The loop itself adds work stealing (an idle shard pulls from the
+    deepest queue of its device group), recovery relaunches with
+    backoff, the window-boundary control plane ({!Telemetry},
+    {!Autoscale}, SLO shedding) and the end-of-run fold into
+    {!Metrics}.
 
     Determinism: nothing reads the host clock, placement hashes MD5,
     and every member launch pins its {!Gpusim.Fault} nonce to (request
     id, attempt) — injected faults are a pure function of the plan and
     the request, independent of shard count, batch shape and dispatch
-    order.  A replay of the same trace under the same environment is
+    order.  A replay of the same trace under the same settings is
     bit-identical; {!results_json} is additionally invariant across
     shard counts and batch limits for configs that lose no requests to
-    admission, and — because affinity keys on device {e names}, never
+    admission, and — because placement keys on device {e names}, never
     shard ids — across shuffles of the device multiset over shard
     ids. *)
 
@@ -148,17 +144,10 @@ type result = {
           multiset over shard ids. *)
 }
 
-val merge_overhead : float
-(** Virtual cycles added to a merged grid's window per extra member. *)
-
-val nonce_for : Request.spec -> launches:int -> int
-(** The pinned fault nonce of a member launch: a pure function of
-    (request id, prior launches). *)
-
 val run : config -> ?run:Gpusim.Run.t -> Request.spec list -> result
 (** Replay a trace through the fleet under [run]'s launch settings
     (default {!Gpusim.Run.default}), every member launch pinned to its
-    {!nonce_for}.  @raise Invalid_argument on a non-positive shard or
+    {!Batch.nonce_for}.  @raise Invalid_argument on a non-positive shard or
     batch count (and the base config checks). *)
 
 val report_line : rq_report -> string

@@ -198,3 +198,35 @@ let tenant_stats_line t =
     "tenant %-8s weight=%d requests=%d completed=%d shed=%d shed-slo=%d timed-out=%d degraded=%d evicted=%d latency-mean=%.1f"
     t.tenant t.weight t.t_requests t.t_completed t.t_shed t.t_shed_slo
     t.t_timed_out t.t_degraded t.t_evicted t.t_latency_mean
+
+(* --- outcome tallies ---------------------------------------------------- *)
+
+type tally = {
+  mutable n : int;
+  outcomes : (Service.outcome, int) Hashtbl.t;
+  caches : (Service.cache_status, int) Hashtbl.t;
+  mutable completed_lat : float list;  (* newest first *)
+}
+
+let tally () =
+  {
+    n = 0;
+    outcomes = Hashtbl.create 8;
+    caches = Hashtbl.create 4;
+    completed_lat = [];
+  }
+
+let bump h k =
+  Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
+
+let add t outcome cache ~latency =
+  t.n <- t.n + 1;
+  bump t.outcomes outcome;
+  bump t.caches cache;
+  if outcome = Service.Completed then
+    t.completed_lat <- latency :: t.completed_lat
+
+let requests t = t.n
+let count t o = Option.value ~default:0 (Hashtbl.find_opt t.outcomes o)
+let cached t c = Option.value ~default:0 (Hashtbl.find_opt t.caches c)
+let latencies t = Array.of_list (List.rev t.completed_lat)

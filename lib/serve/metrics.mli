@@ -118,3 +118,24 @@ val shard_stats_to_json : shard_stats -> string
 val tenant_stats_to_json : tenant_stats -> string
 val shard_stats_line : shard_stats -> string
 val tenant_stats_line : tenant_stats -> string
+
+(** {2 Outcome tallies}
+
+    A replay's terminal reports are folded once, each into the tallies
+    of its scopes (fleet, shard, tenant); every outcome count, cache
+    count and completed-latency sample above is read off a tally. *)
+
+type tally
+
+val tally : unit -> tally
+
+val add :
+  tally -> Service.outcome -> Service.cache_status -> latency:float -> unit
+(** Count one terminal report. *)
+
+val requests : tally -> int
+val count : tally -> Service.outcome -> int
+val cached : tally -> Service.cache_status -> int
+
+val latencies : tally -> float array
+(** The latencies of the completed reports, in the order added. *)

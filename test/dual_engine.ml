@@ -80,8 +80,8 @@ let shadow_kernel =
           Guarded [ decl "q" Tfloat (v "z" + f 1.0) ];
           decl "p" Tfloat (v "q" * v "g");
           decl "acc2" Tfloat (f 0.0);
-          (* the summand reads only region names: a body declaration in
-             it would become a capture of the enclosing region *)
+          (* the summand reads only region names; [summand_decl_kernel]
+             covers a summand over a body declaration *)
           simd_sum ~acc:"acc2" ~var:"j" ~lo:(i 0) ~hi:(v "len")
             ~value:(Load ("src", (v "r" * v "len") + v "j") * v "p")
             [
@@ -95,6 +95,37 @@ let shadow_kernel =
                   v "r",
                   v "acc" + v "z" + v "acc2" + v "p" + Unop (To_float, v "x") );
             ];
+        ];
+    ]
+
+(* out[r] = sum_j 2 * src[r*len + j], the summand reading a declaration
+   of the reduction body: it is evaluated in the body's scope, so the
+   name is neither free in the region nor captured by its outlining *)
+let summand_decl_kernel =
+  let open Ir in
+  kernel ~name:"summand_decl"
+    ~params:
+      [
+        { pname = "src"; pty = P_farray };
+        { pname = "out"; pty = P_farray };
+        { pname = "rows"; pty = P_int };
+        { pname = "len"; pty = P_int };
+      ]
+    [
+      distribute_parallel_for ~var:"r" ~lo:(i 0) ~hi:(v "rows")
+        [
+          Decl { name = "acc"; ty = Tfloat; init = f 0.0 };
+          simd_sum ~acc:"acc" ~var:"j" ~lo:(i 0) ~hi:(v "len")
+            ~value:(v "t" * f 2.0)
+            [
+              Decl
+                {
+                  name = "t";
+                  ty = Tfloat;
+                  init = Load ("src", (v "r" * v "len") + v "j");
+                };
+            ];
+          Store ("out", v "r", v "acc");
         ];
     ]
 
@@ -203,6 +234,18 @@ let () =
         ~tol:(fun want -> 1e-9 *. Float.max 1.0 (Float.abs want))
         (shadow_expected ~src:src_host ~len)
         (dual ~kernel:shadow_kernel ~passes))
+    [ "none"; "" ];
+  List.iter
+    (fun passes ->
+      check_rows "summand over a body declaration"
+        ~tol:(fun _ -> 1e-9)
+        (fun r ->
+          let expected = ref 0.0 in
+          for j = 0 to len - 1 do
+            expected := !expected +. (src_val ((r * len) + j) *. 2.0)
+          done;
+          !expected)
+        (dual ~kernel:summand_decl_kernel ~passes))
     [ "none"; "" ];
   print_endline
     "dual-engine OK: walk and compile engines bit-identical end-to-end"

@@ -686,6 +686,57 @@ let test_simd_sum_outline_and_check () =
   check_bool "acc not captured" true (not (List.mem "dot" o.Outline.captures));
   check_bool "value vars captured" true (List.mem "values" o.Outline.captures)
 
+(* The summand of a simd reduction is evaluated in the body's scope, so
+   a name the body declares is not free in the enclosing region: it
+   must not be captured (the launch would find it unbound). *)
+let test_simd_sum_summand_reads_body_decl () =
+  let k =
+    Ompir.Parse.kernel
+      {|kernel sumdecl(double* a, double* sums, int rows, int width) {
+  #pragma omp teams distribute parallel for
+  for (r = 0; r < rows; r++) {
+    double total = 0.0;
+    #pragma omp simd reduction(+:total)
+    for (k = 0; k < width; k++) {
+      double t = a[r * width + k];
+      total += t * 2.0;
+    }
+    sums[r] = total;
+  }
+}|}
+  in
+  check_bool "check accepts" true (Check.kernel k = Ok ());
+  let p = Outline.run k in
+  Alcotest.(check (list string))
+    "region captures" [ "a"; "rows"; "sums"; "width" ]
+    (Outline.find p ~fn_id:0).Outline.captures;
+  let rows = 5 and width = 12 in
+  let space = Memory.space () in
+  let a = Memory.falloc space (rows * width) in
+  let sums = Memory.falloc space rows in
+  for i = 0 to (rows * width) - 1 do
+    Memory.host_set a i (float_of_int (i mod 7))
+  done;
+  let bindings =
+    [
+      ("a", Eval.B_farr a);
+      ("sums", Eval.B_farr sums);
+      ("rows", Eval.B_int rows);
+      ("width", Eval.B_int width);
+    ]
+  in
+  let options =
+    { Eval.default_options with Eval.num_teams = 2; num_threads = 32 }
+  in
+  let (_ : Gpusim.Device.report) = Eval.run ~cfg ~options ~bindings p in
+  for r = 0 to rows - 1 do
+    let want = ref 0.0 in
+    for j = 0 to width - 1 do
+      want := !want +. (2.0 *. float_of_int (((r * width) + j) mod 7))
+    done;
+    checkf (Printf.sprintf "row %d" r) !want (Memory.host_get sums r)
+  done
+
 let test_simd_sum_check_rejects_int_acc () =
   let bad =
     mk_kernel
@@ -1435,6 +1486,8 @@ let suite =
         Alcotest.test_case "collapse desugar" `Quick test_collapse_desugar;
         Alcotest.test_case "collapse arity" `Quick test_collapse_requires_two;
         Alcotest.test_case "schedule clause" `Quick test_schedule_printed_and_used;
+        Alcotest.test_case "reduction summand reads a body decl" `Quick
+          test_simd_sum_summand_reads_body_decl;
       ] );
     ( "ompir.parse",
       [

@@ -971,6 +971,223 @@ let test_priority_order () =
   Alcotest.(check bool) "high priority dispatches first" true
     (r2.Scheduler.start < r1.Scheduler.start)
 
+(* --- module units: breaker, admission, placement ------------------------ *)
+
+module Breaker = Serve.Breaker
+module Admission = Serve.Admission
+module Placement = Serve.Placement
+
+let verdict =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | `Admit -> "admit"
+      | `Probe -> "probe"
+      | `Shed -> "shed"))
+    ( = )
+
+let test_breaker_cycle () =
+  let b = Breaker.create ~threshold:2 ~cooldown:100.0 in
+  let admit now = Breaker.admit b "k" ~now in
+  Breaker.fail b "k" ~now:0.0;
+  Alcotest.check verdict "below the threshold: closed" `Admit (admit 1.0);
+  Breaker.fail b "k" ~now:10.0;
+  Alcotest.(check int) "opens at the threshold" 1 (Breaker.opens b);
+  Alcotest.(check int) "one breaker open" 1 (Breaker.open_now b);
+  Alcotest.check verdict "open: shed while cooling" `Shed (admit 109.0);
+  Alcotest.check verdict "other keys unaffected" `Admit
+    (Breaker.admit b "other" ~now:50.0);
+  Alcotest.check verdict "cooldown over: the probe" `Probe (admit 110.0);
+  Alcotest.check verdict "a second dispatch during the probe sheds" `Shed
+    (admit 111.0);
+  Breaker.fail b "k" ~now:120.0;
+  Alcotest.(check int) "probe failure reopens" 2 (Breaker.opens b);
+  Alcotest.check verdict "reopened: shed" `Shed (admit 219.0);
+  Alcotest.check verdict "next cooldown: one probe" `Probe (admit 220.0);
+  Breaker.ok b "k";
+  Alcotest.check verdict "probe success closes" `Admit (admit 221.0);
+  Alcotest.(check int) "none open" 0 (Breaker.open_now b);
+  let off = Breaker.create ~threshold:0 ~cooldown:100.0 in
+  Breaker.fail off "k" ~now:0.0;
+  Alcotest.check verdict "threshold 0 disables" `Admit
+    (Breaker.admit off "k" ~now:1.0);
+  Alcotest.(check int) "and never opens" 0 (Breaker.opens off)
+
+let test_breaker_fast_forward () =
+  let b = Breaker.create ~threshold:1 ~cooldown:100.0 in
+  Breaker.fail b "done" ~now:0.0;
+  Breaker.fail b "cooling" ~now:50.0;
+  Breaker.fail b "closed" ~now:60.0;
+  Breaker.ok b "closed";
+  Alcotest.(check int) "only the breaker still cooling moves" 1
+    (Breaker.fast_forward b ~at:120.0);
+  Alcotest.(check int) "counted" 1 (Breaker.forwarded b);
+  Alcotest.check verdict "moved: its next dispatch is the probe" `Probe
+    (Breaker.admit b "cooling" ~now:120.0);
+  Alcotest.check verdict "the closed one stays closed" `Admit
+    (Breaker.admit b "closed" ~now:120.0);
+  Alcotest.(check int) "a probing breaker is not moved" 0
+    (Breaker.fast_forward b ~at:130.0)
+
+let pending ?(bkey = "b") ?(relaunched = false) (s : Request.spec) =
+  {
+    Admission.spec = s;
+    attempts = 1;
+    launches = 0;
+    ckey = "c";
+    bkey;
+    mkey = "m";
+    okey = "o";
+    stolen = false;
+    relaunched;
+    ir = None;
+  }
+
+let ids l = List.map (fun (p : Admission.pending) -> p.spec.Request.id) l
+
+let drain q =
+  let rec go acc =
+    match Admission.pop q with None -> List.rev acc | Some p -> go (p :: acc)
+  in
+  go []
+
+let weights l t = Option.value ~default:1 (List.assoc_opt t l)
+
+let test_admission_order () =
+  let q = Admission.create ~weight:(weights []) in
+  List.iter
+    (fun s -> Admission.push q ~through:false (pending s))
+    [
+      spec ~at:5.0 0;
+      spec ~at:9.0 ~priority:2 1;
+      spec ~at:1.0 2;
+      spec ~at:5.0 3;
+      spec ~at:3.0 ~priority:2 4;
+    ];
+  Alcotest.(check int) "peak counts queued pushes" 5 (Admission.peak q);
+  Alcotest.(check (list int)) "priority, then arrival, then id" [ 4; 1; 2; 0; 3 ]
+    (ids (drain q));
+  Admission.push q ~through:true (pending (spec 5));
+  Alcotest.(check int) "a pass-through push is not a peak" 5 (Admission.peak q);
+  Alcotest.(check int) "but it is queued" 1 (Admission.length q)
+
+let queue_of ~weight tenants =
+  let q = Admission.create ~weight in
+  List.iteri
+    (fun i t -> Admission.push q ~through:false (pending (spec ~tenant:t i)))
+    tenants;
+  q
+
+let test_admission_fairness () =
+  let w = weights [ ("alpha", 2) ] in
+  (* occupancy / weight: alpha 2/2, beta 1/1, gamma 1/1 — a three-way
+     tie goes to the greatest name *)
+  let q = queue_of ~weight:w [ "alpha"; "beta"; "alpha"; "gamma" ] in
+  Alcotest.(check (option string)) "ties to the greater name" (Some "gamma")
+    (Admission.hog q);
+  Admission.push q ~through:false (pending (spec ~tenant:"alpha" 9));
+  Alcotest.(check (option string)) "3/2 beats 1/1" (Some "alpha")
+    (Admission.hog q);
+  Alcotest.(check (option string)) "empty queue: no hog" None
+    (Admission.hog (Admission.create ~weight:w));
+  Alcotest.(check (list (pair string int)))
+    "occupancy by name" [ ("alpha", 3); ("beta", 1); ("gamma", 1) ]
+    (Admission.occupancy [ q ]);
+  (* over-share: occ * total weight > weight * depth, over queued tenants *)
+  let q = queue_of ~weight:(weights []) [ "alpha"; "alpha"; "alpha"; "beta" ] in
+  let newcomer t = pending (spec ~tenant:t 99) in
+  Alcotest.(check bool) "3 of 4 at equal weight is over" true
+    (Admission.over_share q (newcomer "alpha"));
+  Alcotest.(check bool) "1 of 4 is not" false
+    (Admission.over_share q (newcomer "beta"));
+  Alcotest.(check bool) "an absent tenant is not" false
+    (Admission.over_share q (newcomer "gamma"));
+  let q' = queue_of ~weight:(weights [ ("alpha", 3) ]) [ "alpha"; "alpha"; "alpha"; "beta" ] in
+  Alcotest.(check bool) "exactly its share is not over (3*4 = 3*4)" false
+    (Admission.over_share q' (newcomer "alpha"));
+  (* the full-queue decision *)
+  (match Admission.contend q (newcomer "alpha") with
+  | `Refuse -> ()
+  | `Evict _ -> Alcotest.fail "the hog's own newcomer must be refused");
+  match Admission.contend q (newcomer "beta") with
+  | `Refuse -> Alcotest.fail "a light newcomer must evict"
+  | `Evict v ->
+      Alcotest.(check int) "the hog's newest entry goes" 2 v.spec.Request.id;
+      Alcotest.(check int) "and leaves the queue" 3 (Admission.length q)
+
+let test_admission_mates () =
+  let q = Admission.create ~weight:(weights []) in
+  let push ?bkey ?deadline ?priority i =
+    Admission.push q ~through:false
+      (pending ?bkey (spec ~at:(float_of_int i) ?deadline ?priority i))
+  in
+  push 0;
+  push ~deadline:5.0 1;
+  push 2;
+  push ~bkey:"other" 3;
+  push ~priority:1 4;
+  push 5;
+  let leader = pending (spec 100) in
+  Alcotest.(check (list int)) "max 0 takes nothing" []
+    (ids (Admission.mates q leader ~now:10.0 ~max:0));
+  Alcotest.(check (list int))
+    "best-first, capped, expired and foreign entries skipped" [ 4; 0; 2 ]
+    (ids (Admission.mates q leader ~now:10.0 ~max:3));
+  Alcotest.(check (list int)) "the rest stay queued" [ 1; 3; 5 ]
+    (List.sort compare (ids (drain q)))
+
+let zoo = Settings.parse_devices
+
+let test_placement_group_relative () =
+  let keys = List.init 100 (Printf.sprintf "content-%d") in
+  let labels devices =
+    let t =
+      Placement.create ~devices:(Array.of_list (zoo devices)) ~affinity:true
+        ~decay:0 ~window:1000.0
+    in
+    List.map
+      (fun k -> (Placement.labels t).(Placement.home t ~now:0.0 k (spec ~threads:64 0)))
+      keys
+  in
+  let reference = labels "w32-hw,w64-hw,w32-hw,w64-hw,w32-hw" in
+  Alcotest.(check bool) "both groups receive content" true
+    (List.exists (fun l -> String.sub l 0 3 = "w64") reference
+    && List.exists (fun l -> String.sub l 0 3 = "w32") reference);
+  List.iter
+    (fun perm ->
+      Alcotest.(check (list string))
+        ("same group member under " ^ perm)
+        reference (labels perm))
+    [ "w64-hw,w64-hw,w32-hw,w32-hw,w32-hw"; "w32-hw,w32-hw,w64-hw,w32-hw,w64-hw" ];
+  let t =
+    Placement.create ~devices:(Array.of_list (zoo "w32-hw,w64-hw,w32-hw"))
+      ~affinity:false ~decay:0 ~window:1000.0
+  in
+  Alcotest.(check (array string)) "member labels" [| "w32-hw/0"; "w64-hw/0"; "w32-hw/1" |]
+    (Placement.labels t);
+  Alcotest.(check (array int)) "label order" [| 0; 2; 1 |] (Placement.label_order t)
+
+let test_placement_decay () =
+  let make decay =
+    Placement.create ~devices:(Array.of_list (zoo "w32-hw,w64-hw")) ~affinity:true
+      ~decay ~window:100.0
+  in
+  let t = make 2 in
+  Placement.observe t ~now:10.0 ~shard:0 "x" 50.0;
+  Placement.observe t ~now:20.0 ~shard:0 "x" 70.0;
+  Alcotest.(check (float 0.0)) "the minimum" 50.0 (Placement.cost t ~now:20.0 "x" "w32-hw");
+  Alcotest.(check (float 0.0)) "unmeasured device costs 0" 0.0
+    (Placement.cost t ~now:20.0 "x" "w64-hw");
+  Alcotest.(check int) "home avoids the measured device" 1
+    (Placement.home t ~now:20.0 "x" (spec ~threads:64 0));
+  Alcotest.(check (float 0.0)) "still live in the next window" 50.0
+    (Placement.cost t ~now:199.0 "x" "w32-hw");
+  Alcotest.(check (float 0.0)) "expired after [decay] windows" 0.0
+    (Placement.cost t ~now:200.0 "x" "w32-hw");
+  let forever = make 0 in
+  Placement.observe forever ~now:10.0 ~shard:0 "x" 50.0;
+  Alcotest.(check (float 0.0)) "decay 0 remembers" 50.0
+    (Placement.cost forever ~now:1e9 "x" "w32-hw")
+
 let suite =
   [
     ( "serve",
@@ -1033,5 +1250,26 @@ let suite =
         QCheck_alcotest.to_alcotest fleet_telemetry_replay;
         Alcotest.test_case "autoscale: hysteresis, cooldown and budget" `Quick
           test_autoscale_hysteresis;
+      ] );
+    ( "serve.breaker",
+      [
+        Alcotest.test_case "open, probe, close and reopen" `Quick
+          test_breaker_cycle;
+        Alcotest.test_case "fast-forward moves only cooling breakers" `Quick
+          test_breaker_fast_forward;
+      ] );
+    ( "serve.admission",
+      [
+        Alcotest.test_case "dispatch order and peak" `Quick test_admission_order;
+        Alcotest.test_case "weighted-fair hog, over-share, contend" `Quick
+          test_admission_fairness;
+        Alcotest.test_case "batch mates" `Quick test_admission_mates;
+      ] );
+    ( "serve.placement",
+      [
+        Alcotest.test_case "group-relative sub-rings and labels" `Quick
+          test_placement_group_relative;
+        Alcotest.test_case "affinity minimum and decay" `Quick
+          test_placement_decay;
       ] );
   ]

@@ -8,11 +8,18 @@
 # checksums) and metrics must be identical everywhere.  A synthetic
 # replay with a fixed seed is checked the same way.
 #
-# Usage: tools/serve_smoke.sh   (from the repo root)
+# Usage: tools/serve_smoke.sh   (from the repo root), or from dune with
+# OMPSIMD_RUN pointing at an already-built ompsimd_run binary.
 set -eu
 
-cd "$(dirname "$0")/.."
-trace=examples/serve.requests
+if [ -n "${OMPSIMD_RUN:-}" ]; then
+  run="$OMPSIMD_RUN"
+else
+  cd "$(dirname "$0")/.."
+  dune build bin/ompsimd_run.exe
+  run=./_build/default/bin/ompsimd_run.exe
+fi
+trace="$(dirname "$0")/../examples/serve.requests"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
@@ -30,9 +37,6 @@ export OMPSIMD_DEVICE= OMPSIMD_FLEET_DEVICES= OMPSIMD_FLEET_AFFINITY=
 export OMPSIMD_SERVE_SLO_MS= OMPSIMD_SERVE_WINDOW= OMPSIMD_SERVE_TELEMETRY=
 export OMPSIMD_SERVE_SHED= OMPSIMD_SERVE_AUTOSCALE= OMPSIMD_SERVE_BUDGET=
 export OMPSIMD_SERVE_COOLDOWN= OMPSIMD_FLEET_DECAY=
-
-dune build bin/ompsimd_run.exe
-run=./_build/default/bin/ompsimd_run.exe
 
 ref=""
 for engine in compile walk; do
