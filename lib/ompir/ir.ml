@@ -109,99 +109,3 @@ let ( = ) a b = Binop (Eq, a, b)
 let i n = Int_lit n
 let f x = Float_lit x
 let v name = Var name
-
-module Names = Set.Make (String)
-
-let rec expr_vars acc = function
-  | Int_lit _ | Float_lit _ -> acc
-  | Var name -> Names.add name acc
-  | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
-  | Unop (_, a) -> expr_vars acc a
-  | Load (arr, idx) | Load_int (arr, idx) -> expr_vars (Names.add arr acc) idx
-
-(* Free variables: referenced but not bound by a Decl / loop variable in
-   the enclosing statement list. *)
-let free_vars stmts =
-  let rec go_stmts bound acc stmts =
-    let _, acc =
-      List.fold_left
-        (fun (bound, acc) stmt -> go_stmt bound acc stmt)
-        (bound, acc) stmts
-    in
-    acc
-  and use bound acc e =
-    Names.fold
-      (fun name acc -> if Names.mem name bound then acc else Names.add name acc)
-      (expr_vars Names.empty e)
-      acc
-  and go_stmt bound acc stmt =
-    match stmt with
-    | Decl { name; init; _ } ->
-        let acc = use bound acc init in
-        (Names.add name bound, acc)
-    | Assign (name, e) ->
-        let acc = use bound acc e in
-        let acc = if Names.mem name bound then acc else Names.add name acc in
-        (bound, acc)
-    | Store (arr, idx, value)
-    | Store_int (arr, idx, value)
-    | Atomic_add (arr, idx, value) ->
-        let acc = if Names.mem arr bound then acc else Names.add arr acc in
-        let acc = use bound acc idx in
-        (bound, use bound acc value)
-    | If (cond, then_, else_) ->
-        let acc = use bound acc cond in
-        let acc = go_stmts bound acc then_ in
-        (bound, go_stmts bound acc else_)
-    | While (cond, body) ->
-        let acc = use bound acc cond in
-        (bound, go_stmts bound acc body)
-    | For { var; lo; hi; body } ->
-        let acc = use bound acc lo in
-        let acc = use bound acc hi in
-        (bound, go_stmts (Names.add var bound) acc body)
-    | Distribute_parallel_for d | Parallel_for d | Simd d ->
-        let acc = use bound acc d.lo in
-        let acc = use bound acc d.hi in
-        (bound, go_stmts (Names.add d.loop_var bound) acc d.body)
-    | Simd_sum { acc = acc_name; value; dir = d } ->
-        let acc = use bound acc d.lo in
-        let acc = use bound acc d.hi in
-        let acc =
-          if Names.mem acc_name bound then acc else Names.add acc_name acc
-        in
-        let bound' = Names.add d.loop_var bound in
-        let acc = go_stmts bound' acc d.body in
-        (* [value] is evaluated after the body, in its scope: the body's
-           top-level declarations are bound there (as in [Check]) *)
-        let in_body =
-          List.fold_left
-            (fun b -> function Decl { name; _ } -> Names.add name b | _ -> b)
-            bound' d.body
-        in
-        (bound, use in_body acc value)
-    | Guarded body ->
-        (* scope-transparent: declarations inside remain bound after *)
-        let bound', acc =
-          List.fold_left
-            (fun (bound, acc) stmt -> go_stmt bound acc stmt)
-            (bound, acc) body
-        in
-        (bound', acc)
-    | Sync -> (bound, acc)
-  in
-  Names.elements (go_stmts Names.empty Names.empty stmts)
-
-let fold_directives f init stmts =
-  let rec go acc stmt =
-    let acc = f acc stmt in
-    match stmt with
-    | If (_, a, b) -> List.fold_left go (List.fold_left go acc a) b
-    | While (_, body) | For { body; _ } -> List.fold_left go acc body
-    | Distribute_parallel_for d | Parallel_for d | Simd d ->
-        List.fold_left go acc d.body
-    | Simd_sum { dir; _ } -> List.fold_left go acc dir.body
-    | Guarded body -> List.fold_left go acc body
-    | Decl _ | Assign _ | Store _ | Store_int _ | Atomic_add _ | Sync -> acc
-  in
-  List.fold_left go init stmts

@@ -5,7 +5,9 @@
     directives are first-class statements; the {!Outline} pass later
     isolates their bodies into "loop tasks" with explicit captured-variable
     payloads, exactly as the OpenMP IR Builder does, and {!Eval} executes
-    the result on the simulated GPU runtime. *)
+    the result on the simulated GPU runtime.  {!Visit} walks it: folds,
+    one-level rebuilds, and the scope rules behind free names, renaming
+    and substitution. *)
 
 type ty = Tint | Tfloat
 
@@ -104,11 +106,3 @@ val ( = ) : expr -> expr -> expr
 val i : int -> expr
 val f : float -> expr
 val v : string -> expr
-
-val free_vars : stmt list -> string list
-(** Variables read or written by the statements that are not bound within
-    them (loop variables and local declarations bind); sorted, without
-    duplicates.  Array parameters count — they become payload pointers. *)
-
-val fold_directives : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
-(** Fold over every statement, recursing into all bodies. *)

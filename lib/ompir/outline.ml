@@ -7,67 +7,55 @@ type outlined = {
 
 type program = { kernel : Ir.kernel; outlined : outlined list }
 
-let capture_of ~kind ~fn_id (d : Ir.loop_directive) =
-  (* The loop variable is rebound by the runtime per iteration; everything
-     else the body references must travel in the payload — including the
-     variables of the bound expressions, since the outlined task maps the
-     normalized iteration number back to the source index. *)
-  let module S = Set.Make (String) in
-  let bound_vars e = Ir.free_vars [ Ir.Assign ("__sink", e) ] in
+(* The loop variable is rebound by the runtime per iteration; everything
+   else the directive references must travel in the payload — including
+   the variables of the bound expressions, since the outlined task maps
+   the normalized iteration number back to the source index, and the
+   summand of a reduction.  A reduction's accumulator is assigned by the
+   region, not through the payload. *)
+let capture_of ~kind ~fn_id (s : Ir.stmt) (d : Ir.loop_directive) =
+  let names = Visit.free_names [ s ] in
   let names =
-    S.union
-      (S.of_list (Ir.free_vars d.Ir.body))
-      (S.union (S.of_list (bound_vars d.Ir.lo)) (S.of_list (bound_vars d.Ir.hi)))
+    match s with
+    | Ir.Simd_sum { acc; _ } -> Visit.Names.remove acc names
+    | _ -> names
   in
-  let captures =
-    S.elements (S.filter (fun n -> n <> d.Ir.loop_var && n <> "__sink") names)
-  in
-  { fn_id; kind; loop_var = d.Ir.loop_var; captures }
+  {
+    fn_id;
+    kind;
+    loop_var = d.Ir.loop_var;
+    captures = Visit.Names.elements (Visit.Names.remove d.Ir.loop_var names);
+  }
 
 let run (k : Ir.kernel) =
   let counter = ref 0 in
-  let acc_ref = ref [] in
-  let fresh kind d =
+  let outlined = ref [] in
+  let fresh kind s d =
     let fn_id = !counter in
     incr counter;
-    acc_ref := capture_of ~kind ~fn_id d :: !acc_ref;
+    outlined := capture_of ~kind ~fn_id s d :: !outlined;
     fn_id
   in
+  (* a directive's id comes before those of the directives in its body *)
   let rec stmts body = List.map stmt body
   and stmt (s : Ir.stmt) =
-    match s with
-    | Ir.Distribute_parallel_for d ->
-        let fn_id = fresh `Distribute_parallel_for d in
-        Ir.Distribute_parallel_for { d with Ir.fn_id; body = stmts d.Ir.body }
-    | Ir.Parallel_for d ->
-        let fn_id = fresh `Parallel_for d in
-        Ir.Parallel_for { d with Ir.fn_id; body = stmts d.Ir.body }
-    | Ir.Simd d ->
-        let fn_id = fresh `Simd d in
-        Ir.Simd { d with Ir.fn_id; body = stmts d.Ir.body }
-    | Ir.Simd_sum { acc; value; dir = d } ->
-        (* the summand is part of the outlined body for capture purposes *)
-        let with_value =
-          { d with Ir.body = d.Ir.body @ [ Ir.Assign ("__red", value) ] }
-        in
-        let fn_id = !counter in
-        incr counter;
-        let cap = capture_of ~kind:`Simd_sum ~fn_id with_value in
-        let cap =
-          { cap with captures = List.filter (fun n -> n <> "__red" && n <> acc) cap.captures }
-        in
-        acc_ref := cap :: !acc_ref;
-        Ir.Simd_sum { acc; value; dir = { d with Ir.fn_id; body = stmts d.Ir.body } }
-    | Ir.If (c, a, b) -> Ir.If (c, stmts a, stmts b)
-    | Ir.While (c, body) -> Ir.While (c, stmts body)
-    | Ir.For { var; lo; hi; body } -> Ir.For { var; lo; hi; body = stmts body }
-    | Ir.Guarded body -> Ir.Guarded (stmts body)
-    | (Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _
-      | Ir.Atomic_add _ | Ir.Sync) as s ->
-        s
+    let s =
+      match s with
+      | Ir.Distribute_parallel_for d ->
+          let fn_id = fresh `Distribute_parallel_for s d in
+          Ir.Distribute_parallel_for { d with Ir.fn_id }
+      | Ir.Parallel_for d ->
+          Ir.Parallel_for { d with Ir.fn_id = fresh `Parallel_for s d }
+      | Ir.Simd d -> Ir.Simd { d with Ir.fn_id = fresh `Simd s d }
+      | Ir.Simd_sum r ->
+          Ir.Simd_sum
+            { r with dir = { r.dir with Ir.fn_id = fresh `Simd_sum s r.dir } }
+      | s -> s
+    in
+    Visit.map ~body:stmts ~expr:Fun.id s
   in
   let body = stmts k.Ir.body in
-  { kernel = { k with Ir.body }; outlined = List.rev !acc_ref }
+  { kernel = { k with Ir.body }; outlined = List.rev !outlined }
 
 let dispatch_table_size p = List.length p.outlined
 

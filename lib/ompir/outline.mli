@@ -13,7 +13,9 @@ type outlined = {
   kind : [ `Simd | `Simd_sum | `Parallel_for | `Distribute_parallel_for ];
   loop_var : string;
   captures : string list;
-      (** free variables of the body (arrays and scalars), sorted *)
+      (** the directive's free names ({!Visit.free_names}: body, bounds
+          and summand, arrays and scalars) except its loop variable and
+          a reduction's accumulator, sorted *)
 }
 
 type program = {

@@ -2,44 +2,67 @@ type pass = { name : string; transform : Ir.kernel -> Ir.kernel }
 
 let fold = { name = "fold"; transform = Fold.kernel }
 
-(* --- dead code elimination ---------------------------------------------- *)
+module Names = Visit.Names
 
-module Names = Set.Make (String)
+(* --- what a body touches --------------------------------------------------- *)
 
-let rec expr_reads acc (e : Ir.expr) =
+(* The names a body uses at any depth, scope-blind: scalar reads, scalar
+   writes (assignment targets and reduction accumulators), arrays loaded
+   and arrays stored.  An accumulator also counts as read, so dce keeps
+   the declaration a reduction assigns; an atomic both loads and stores
+   its array. *)
+type effects = {
+  mutable reads : Names.t;
+  mutable writes : Names.t;
+  mutable loads : Names.t;
+  mutable stores : Names.t;
+}
+
+let no_effects () =
+  { reads = Names.empty; writes = Names.empty; loads = Names.empty; stores = Names.empty }
+
+let note_expr fx () (e : Ir.expr) =
   match e with
-  | Ir.Var name -> Names.add name acc
-  | Ir.Int_lit _ | Ir.Float_lit _ -> acc
-  | Ir.Binop (_, a, b) -> expr_reads (expr_reads acc a) b
-  | Ir.Unop (_, a) -> expr_reads acc a
-  | Ir.Load (_, idx) | Ir.Load_int (_, idx) -> expr_reads acc idx
+  | Ir.Var n -> fx.reads <- Names.add n fx.reads
+  | Ir.Load (a, _) | Ir.Load_int (a, _) -> fx.loads <- Names.add a fx.loads
+  | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Binop _ | Ir.Unop _ -> ()
 
-(* All scalar reads anywhere in a statement list. *)
-let stmt_list_reads body =
-  let rec go acc stmts = List.fold_left stmt acc stmts
-  and stmt acc (s : Ir.stmt) =
-    match s with
-    | Ir.Decl { init; _ } -> expr_reads acc init
-    | Ir.Assign (_, e) -> expr_reads acc e
-    | Ir.Store (_, idx, v) | Ir.Store_int (_, idx, v) | Ir.Atomic_add (_, idx, v)
-      ->
-        expr_reads (expr_reads acc idx) v
-    | Ir.If (c, a, b) -> go (go (expr_reads acc c) a) b
-    | Ir.While (c, b) -> go (expr_reads acc c) b
-    | Ir.For { lo; hi; body; _ } ->
-        go (expr_reads (expr_reads acc lo) hi) body
-    | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-        go (expr_reads (expr_reads acc d.Ir.lo) d.Ir.hi) d.Ir.body
-    | Ir.Simd_sum { acc = red_acc; value; dir } ->
-        (* the accumulator is written, not read, but keep it: removing the
-           decl would orphan the reduction *)
-        let acc = Names.add red_acc acc in
-        go (expr_reads (expr_reads (expr_reads acc value) dir.Ir.lo) dir.Ir.hi)
-          dir.Ir.body
-    | Ir.Guarded body -> go acc body
-    | Ir.Sync -> acc
-  in
-  go Names.empty body
+let expr_effects e =
+  let fx = no_effects () in
+  Visit.fold_expr (note_expr fx) () e;
+  fx
+
+let effects body =
+  let fx = no_effects () in
+  Visit.fold_exprs (note_expr fx) () body;
+  Visit.fold
+    (fun () (s : Ir.stmt) ->
+      match s with
+      | Ir.Assign (n, _) -> fx.writes <- Names.add n fx.writes
+      | Ir.Simd_sum { acc; _ } ->
+          fx.reads <- Names.add acc fx.reads;
+          fx.writes <- Names.add acc fx.writes
+      | Ir.Store (a, _, _) | Ir.Store_int (a, _, _) ->
+          fx.stores <- Names.add a fx.stores
+      | Ir.Atomic_add (a, _, _) ->
+          fx.loads <- Names.add a fx.loads;
+          fx.stores <- Names.add a fx.stores
+      | _ -> ())
+    () body;
+  fx
+
+let is_atomic (s : Ir.stmt) = match s with Ir.Atomic_add _ -> true | _ -> false
+let is_sync (s : Ir.stmt) = match s with Ir.Sync -> true | _ -> false
+
+(* the name [s] binds: a declaration's, or a loop's variable *)
+let binder (s : Ir.stmt) =
+  match (s, Visit.loop s) with
+  | Ir.Decl { name; _ }, _ | _, Some { Visit.var = name; _ } -> Some name
+  | _ -> None
+
+let binds name s = binder s = Some name
+
+(* --- dead code elimination ---------------------------------------------- *)
 
 (* Remove Decls and Assigns of scalars that no later statement reads.
    Conservative: a name read anywhere in the enclosing body (even before
@@ -47,83 +70,39 @@ let stmt_list_reads body =
    win does not justify it here.  [outer] holds the reads of the
    enclosing bodies: an assignment in a nested body may write a variable
    read only outside it, and a [Guarded] block's declarations extend the
-   enclosing scope, so both are judged against it too. *)
-let rec dce_body ?(outer = Names.empty) ?(transparent = false) body =
-  let own = stmt_list_reads body in
-  let reads = Names.union outer own in
+   enclosing scope, so both are judged against it too.  [keep] is what
+   the body's own scope reads besides its statements: a reduction's
+   summand, evaluated after the body in its scope.  The read sets are
+   lazy: only a pure declaration or assignment forces them, so a body
+   whose declarations all load is never walked for reads. *)
+let rec dce_body ?(outer = lazy Names.empty) ?(keep = Names.empty)
+    ?(transparent = false) body =
+  let own = lazy (Names.union keep (effects body).reads) in
+  let reads = lazy (Names.union (Lazy.force outer) (Lazy.force own)) in
   let decl_reads = if transparent then reads else own in
-  let nested b = dce_body ~outer:reads b in
+  let nested keep b = dce_body ~outer:reads ~keep b in
   body
   |> List.filter_map (fun (s : Ir.stmt) ->
          match s with
          | Ir.Decl { name; init; _ }
-           when (not (Names.mem name decl_reads)) && Fold.is_pure init ->
+           when Fold.is_pure init && not (Names.mem name (Lazy.force decl_reads))
+           ->
              None
          | Ir.Assign (name, e)
-           when (not (Names.mem name reads)) && Fold.is_pure e ->
+           when Fold.is_pure e && not (Names.mem name (Lazy.force reads)) ->
              None
-         | Ir.If (c, a, b) -> Some (Ir.If (c, nested a, nested b))
-         | Ir.While (c, b) -> Some (Ir.While (c, nested b))
-         | Ir.For { var; lo; hi; body } ->
-             Some (Ir.For { var; lo; hi; body = nested body })
-         | Ir.Distribute_parallel_for d ->
-             Some (Ir.Distribute_parallel_for { d with Ir.body = nested d.Ir.body })
-         | Ir.Parallel_for d ->
-             Some (Ir.Parallel_for { d with Ir.body = nested d.Ir.body })
-         | Ir.Simd d -> Some (Ir.Simd { d with Ir.body = nested d.Ir.body })
-         | Ir.Simd_sum { acc; value; dir } ->
-             Some
-               (Ir.Simd_sum
-                  { acc; value; dir = { dir with Ir.body = nested dir.Ir.body } })
          | Ir.Guarded b ->
              Some (Ir.Guarded (dce_body ~outer:reads ~transparent:true b))
-         | s -> Some s)
+         | Ir.Simd_sum { value; _ } ->
+             Some
+               (Visit.map ~body:(nested (expr_effects value).reads) ~expr:Fun.id s)
+         | s -> Some (Visit.map ~body:(nested Names.empty) ~expr:Fun.id s))
 
 let dce =
   {
     name = "dce";
     transform = (fun k -> { k with Ir.body = dce_body k.Ir.body });
   }
-
-(* --- simd unrolling ------------------------------------------------------ *)
-
-(* Unrolling replicates the body as region code, so it is only sound for
-   bodies whose replicas are idempotent under SPMD's redundant execution:
-   atomics are out. *)
-let rec has_atomic body =
-  List.exists
-    (fun (s : Ir.stmt) ->
-      match s with
-      | Ir.Atomic_add _ -> true
-      | Ir.If (_, a, b) -> has_atomic a || has_atomic b
-      | Ir.While (_, b) | Ir.For { body = b; _ } | Ir.Guarded b -> has_atomic b
-      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-          has_atomic d.Ir.body
-      | Ir.Simd_sum { dir; _ } -> has_atomic dir.Ir.body
-      | Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Sync ->
-          false)
-    body
-
-(* Freshen the body's declarations per replica so replicas do not collide
-   in one scope. *)
-let rename_decls ~suffix body =
-  let decls =
-    List.filter_map
-      (function Ir.Decl { name; _ } -> Some name | _ -> None)
-      body
-  in
-  List.fold_left
-    (fun body name ->
-      let fresh = name ^ suffix in
-      Subst.stmts ~var:name ~by:(Ir.Var fresh)
-        (List.map
-           (fun (s : Ir.stmt) ->
-             match s with
-             | Ir.Decl { name = n; ty; init } when n = name ->
-                 Ir.Decl { name = fresh; ty; init }
-             | s -> s)
-           body))
-    body decls
 
 (* --- targeting mini-language -------------------------------------------- *)
 
@@ -141,147 +120,29 @@ let hits target ~pos ~var =
   | T_var v -> String.equal v var
   | T_nth n -> pos = n
 
-(* Pre-order loop walker: [f ~pos ~var stmt] returns [Some replacement]
-   to rewrite the loop (children of the replacement are not revisited) or
-   [None] to descend.  The position counter threads through the whole
-   kernel body. *)
-let map_loops f body =
+(* Rewrite the loops [target] selects, numbering loop headers in
+   pre-order across the whole body.  [f ~descend s] returns [Some
+   replacement] for a selected loop [s] — the replacement is not
+   revisited; [descend] rewrites a body the same way, numbering its
+   loops — or [None] to descend into [s] unchanged. *)
+let rewrite_loops target f body =
   let pos = ref (-1) in
   let rec stmts body = List.concat_map stmt body
-  and dir (d : Ir.loop_directive) = { d with Ir.body = stmts d.Ir.body }
-  and stmt (s : Ir.stmt) =
-    match s with
-    | Ir.For { var; _ }
-    | Ir.Distribute_parallel_for { Ir.loop_var = var; _ }
-    | Ir.Parallel_for { Ir.loop_var = var; _ }
-    | Ir.Simd { Ir.loop_var = var; _ }
-    | Ir.Simd_sum { dir = { Ir.loop_var = var; _ }; _ } -> (
-        incr pos;
-        match f ~pos:!pos ~var s with
-        | Some replacement -> replacement
-        | None -> (
-            match s with
-            | Ir.For { var; lo; hi; body } ->
-                [ Ir.For { var; lo; hi; body = stmts body } ]
-            | Ir.Distribute_parallel_for d ->
-                [ Ir.Distribute_parallel_for (dir d) ]
-            | Ir.Parallel_for d -> [ Ir.Parallel_for (dir d) ]
-            | Ir.Simd d -> [ Ir.Simd (dir d) ]
-            | Ir.Simd_sum { acc; value; dir = d } ->
-                [ Ir.Simd_sum { acc; value; dir = dir d } ]
-            | _ -> assert false))
-    | Ir.If (c, a, b) -> [ Ir.If (c, stmts a, stmts b) ]
-    | Ir.While (c, b) -> [ Ir.While (c, stmts b) ]
-    | Ir.Guarded b -> [ Ir.Guarded (stmts b) ]
-    | (Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _
-      | Ir.Sync) as s ->
-        [ s ]
+  and stmt s =
+    let selected =
+      match Visit.loop s with
+      | Some l ->
+          incr pos;
+          hits target ~pos:!pos ~var:l.Visit.var
+      | None -> false
+    in
+    match if selected then f ~descend:stmts s else None with
+    | Some replacement -> replacement
+    | None -> [ Visit.map ~body:stmts ~expr:Fun.id s ]
   in
   stmts body
 
 (* --- shared analyses ----------------------------------------------------- *)
-
-(* Scalars assigned anywhere in a body (Assign targets and Simd_sum
-   accumulators; Decls are bindings, not mutations). *)
-let rec mutated_in acc body =
-  List.fold_left
-    (fun acc (s : Ir.stmt) ->
-      match s with
-      | Ir.Assign (name, _) -> Names.add name acc
-      | Ir.If (_, a, b) -> mutated_in (mutated_in acc a) b
-      | Ir.While (_, b) | Ir.For { body = b; _ } | Ir.Guarded b ->
-          mutated_in acc b
-      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-          mutated_in acc d.Ir.body
-      | Ir.Simd_sum { acc = red; dir; _ } ->
-          mutated_in (Names.add red acc) dir.Ir.body
-      | Ir.Decl _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _ | Ir.Sync ->
-          acc)
-    acc body
-
-(* Array names read / written anywhere in a body (atomics count as both). *)
-let array_rw body =
-  let rec expr (r, w) (e : Ir.expr) =
-    match e with
-    | Ir.Load (a, idx) | Ir.Load_int (a, idx) -> expr (Names.add a r, w) idx
-    | Ir.Binop (_, x, y) -> expr (expr (r, w) x) y
-    | Ir.Unop (_, x) -> expr (r, w) x
-    | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> (r, w)
-  in
-  let rec go acc body = List.fold_left stmt acc body
-  and stmt acc (s : Ir.stmt) =
-    match s with
-    | Ir.Decl { init; _ } -> expr acc init
-    | Ir.Assign (_, e) -> expr acc e
-    | Ir.Store (a, idx, v) | Ir.Store_int (a, idx, v) ->
-        let r, w = expr (expr acc idx) v in
-        (r, Names.add a w)
-    | Ir.Atomic_add (a, idx, v) ->
-        let r, w = expr (expr acc idx) v in
-        (Names.add a r, Names.add a w)
-    | Ir.If (c, a, b) -> go (go (expr acc c) a) b
-    | Ir.While (c, b) -> go (expr acc c) b
-    | Ir.For { lo; hi; body; _ } -> go (expr (expr acc lo) hi) body
-    | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-        go (expr (expr acc d.Ir.lo) d.Ir.hi) d.Ir.body
-    | Ir.Simd_sum { value; dir; _ } ->
-        go (expr (expr (expr acc value) dir.Ir.lo) dir.Ir.hi) dir.Ir.body
-    | Ir.Guarded b -> go acc b
-    | Ir.Sync -> acc
-  in
-  go (Names.empty, Names.empty) body
-
-let rec contains_sync body =
-  List.exists
-    (fun (s : Ir.stmt) ->
-      match s with
-      | Ir.Sync -> true
-      | Ir.If (_, a, b) -> contains_sync a || contains_sync b
-      | Ir.While (_, b) | Ir.For { body = b; _ } | Ir.Guarded b ->
-          contains_sync b
-      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-          contains_sync d.Ir.body
-      | Ir.Simd_sum { dir; _ } -> contains_sync dir.Ir.body
-      | Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _
-      | Ir.Atomic_add _ ->
-          false)
-    body
-
-(* Assignments to scalars not declared inside the body itself — the
-   writes a transform must not duplicate or reorder.  Scope tracking
-   mirrors {!Subst}: a Decl binds the rest of its list, loop variables
-   bind their bodies, Guarded is scope-transparent.  Simd_sum's
-   accumulator counts as an assignment when bound outside. *)
-let free_assigns body =
-  let rec go bound acc body =
-    let _, acc =
-      List.fold_left (fun (bound, acc) s -> stmt bound acc s) (bound, acc) body
-    in
-    acc
-  and stmt bound acc (s : Ir.stmt) =
-    match s with
-    | Ir.Decl { name; _ } -> (Names.add name bound, acc)
-    | Ir.Assign (name, _) ->
-        (bound, if Names.mem name bound then acc else Names.add name acc)
-    | Ir.If (_, a, b) -> (bound, go bound (go bound acc a) b)
-    | Ir.While (_, b) -> (bound, go bound acc b)
-    | Ir.For { var; body = b; _ } -> (bound, go (Names.add var bound) acc b)
-    | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-        (bound, go (Names.add d.Ir.loop_var bound) acc d.Ir.body)
-    | Ir.Simd_sum { acc = red; dir; _ } ->
-        let acc = if Names.mem red bound then acc else Names.add red acc in
-        (bound, go (Names.add dir.Ir.loop_var bound) acc dir.Ir.body)
-    | Ir.Guarded b ->
-        List.fold_left (fun (bound, acc) s -> stmt bound acc s) (bound, acc) b
-    | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _ | Ir.Sync -> (bound, acc)
-  in
-  go Names.empty Names.empty body
-
-let top_decl_names body =
-  List.fold_left
-    (fun acc (s : Ir.stmt) ->
-      match s with Ir.Decl { name; _ } -> Names.add name acc | _ -> acc)
-    Names.empty body
 
 (* Safe to evaluate speculatively (hoist out of a possibly-zero-trip
    loop): no division or modulo except by a provably nonzero literal,
@@ -300,55 +161,20 @@ let rec trap_free ~loads (e : Ir.expr) =
   | Ir.Unop (_, a) -> trap_free ~loads a
   | Ir.Load (_, idx) | Ir.Load_int (_, idx) -> loads && trap_free ~loads idx
 
-(* Invariant in a loop body: reads no scalar in [mutated] (pass the
-   body's mutated set plus the loop variable). *)
-let invariant_in ~mutated e =
-  Names.is_empty (Names.inter (expr_reads Names.empty e) mutated)
-
-(* Every name appearing anywhere in a kernel, for capture-free freshening. *)
-let all_names (k : Ir.kernel) =
-  let rec expr acc (e : Ir.expr) =
-    match e with
-    | Ir.Var n -> Names.add n acc
-    | Ir.Load (a, idx) | Ir.Load_int (a, idx) -> expr (Names.add a acc) idx
-    | Ir.Binop (_, x, y) -> expr (expr acc x) y
-    | Ir.Unop (_, x) -> expr acc x
-    | Ir.Int_lit _ | Ir.Float_lit _ -> acc
+(* First-unused-index fresh-name generator over a kernel's name universe:
+   its parameters, its binders and the names it uses freely (every other
+   use is bound, so it repeats a binder's name). *)
+let freshener (k : Ir.kernel) =
+  let used =
+    Visit.fold
+      (fun acc s ->
+        match binder s with Some name -> Names.add name acc | None -> acc)
+      (List.fold_left
+         (fun acc (p : Ir.param) -> Names.add p.Ir.pname acc)
+         (Visit.free_names k.Ir.body) k.Ir.params)
+      k.Ir.body
   in
-  let rec go acc body = List.fold_left stmt acc body
-  and stmt acc (s : Ir.stmt) =
-    match s with
-    | Ir.Decl { name; init; _ } -> expr (Names.add name acc) init
-    | Ir.Assign (n, e) -> expr (Names.add n acc) e
-    | Ir.Store (a, i, v) | Ir.Store_int (a, i, v) | Ir.Atomic_add (a, i, v) ->
-        expr (expr (Names.add a acc) i) v
-    | Ir.If (c, a, b) -> go (go (expr acc c) a) b
-    | Ir.While (c, b) -> go (expr acc c) b
-    | Ir.For { var; lo; hi; body } ->
-        go (expr (expr (Names.add var acc) lo) hi) body
-    | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-        go (expr (expr (Names.add d.Ir.loop_var acc) d.Ir.lo) d.Ir.hi) d.Ir.body
-    | Ir.Simd_sum { acc = red; value; dir } ->
-        go
-          (expr
-             (expr
-                (expr (Names.add red (Names.add dir.Ir.loop_var acc)) value)
-                dir.Ir.lo)
-             dir.Ir.hi)
-          dir.Ir.body
-    | Ir.Guarded b -> go acc b
-    | Ir.Sync -> acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc (p : Ir.param) -> Names.add p.Ir.pname acc)
-      Names.empty k.Ir.params
-  in
-  go acc k.Ir.body
-
-(* First-unused-index fresh-name generator over a kernel's name universe. *)
-let freshener k =
-  let used = ref (all_names k) in
+  let used = ref used in
   fun base ->
     let rec try_i i =
       let cand = Printf.sprintf "%s__%d" base i in
@@ -363,46 +189,6 @@ let freshener k =
       used := Names.add base !used;
       base
     end
-
-(* Map [f] over every expression in a statement list, stopping — exactly
-   like {!Subst.stmts} — at sites that rebind [var]: a Decl of [var]
-   shadows the rest of the list, a loop over [var] shadows its body,
-   Guarded is scope-transparent. *)
-let map_exprs_shadow ~var f stmts0 =
-  let rec go = function
-    | [] -> []
-    | s :: rest -> (
-        match (s : Ir.stmt) with
-        | Ir.Decl { name; ty; init } ->
-            let s' = Ir.Decl { name; ty; init = f init } in
-            if String.equal name var then s' :: rest else s' :: go rest
-        | Ir.Assign (n, e) -> Ir.Assign (n, f e) :: go rest
-        | Ir.Store (a, i, v) -> Ir.Store (a, f i, f v) :: go rest
-        | Ir.Store_int (a, i, v) -> Ir.Store_int (a, f i, f v) :: go rest
-        | Ir.Atomic_add (a, i, v) -> Ir.Atomic_add (a, f i, f v) :: go rest
-        | Ir.If (c, a, b) -> Ir.If (f c, go a, go b) :: go rest
-        | Ir.While (c, b) -> Ir.While (f c, go b) :: go rest
-        | Ir.For { var = v; lo; hi; body } ->
-            let body = if String.equal v var then body else go body in
-            Ir.For { var = v; lo = f lo; hi = f hi; body } :: go rest
-        | Ir.Distribute_parallel_for d ->
-            Ir.Distribute_parallel_for (dir d) :: go rest
-        | Ir.Parallel_for d -> Ir.Parallel_for (dir d) :: go rest
-        | Ir.Simd d -> Ir.Simd (dir d) :: go rest
-        | Ir.Simd_sum { acc; value; dir = d } ->
-            let value =
-              if String.equal d.Ir.loop_var var then value else f value
-            in
-            Ir.Simd_sum { acc; value; dir = dir d } :: go rest
-        | Ir.Guarded b -> Ir.Guarded (go b) :: go rest
-        | Ir.Sync -> Ir.Sync :: go rest)
-  and dir (d : Ir.loop_directive) =
-    let body =
-      if String.equal d.Ir.loop_var var then d.Ir.body else go d.Ir.body
-    in
-    { d with Ir.lo = f d.Ir.lo; Ir.hi = f d.Ir.hi; Ir.body = body }
-  in
-  go stmts0
 
 let rec fixpoint n f k =
   if n <= 0 then k
@@ -433,6 +219,23 @@ let preserving name transform =
   in
   { name; transform }
 
+(* --- simd unrolling ------------------------------------------------------ *)
+
+(* Replicate a loop body once per iteration of [lo, hi): each replica's
+   top-level declarations are renamed apart, so replicas do not collide
+   in one scope, and the loop variable becomes the iteration's
+   literal. *)
+let replicate ~var body (lo, hi) =
+  let decls = Visit.declared body in
+  List.concat_map
+    (fun iv ->
+      let suffix = Printf.sprintf "__u%d" iv in
+      Visit.rename
+        (fun n -> if Names.mem n decls then Some (n ^ suffix) else None)
+        body
+      |> Visit.subst ~var ~by:(Ir.Int_lit iv))
+    (List.init (hi - lo) (fun k -> lo + k))
+
 let unroll ?(max_trip = 8) ?simd_trip ?(target = T_all) () =
   (* Simd replication rewrites parallel structure — the loop's lanes
      become straight region code, changing SPMD verdicts and hiding the
@@ -441,68 +244,36 @@ let unroll ?(max_trip = 8) ?simd_trip ?(target = T_all) () =
      OMPSIMD_PASSES specs get the historical cap. *)
   let simd_trip = match simd_trip with Some n -> n | None -> min max_trip 8 in
   let transform (k : Ir.kernel) =
-    let pos = ref (-1) in
-    let replicate ~loop_var body (lo, hi) =
-      List.concat_map
-        (fun iv ->
-          let body = rename_decls ~suffix:(Printf.sprintf "__u%d" iv) body in
-          Subst.stmts ~var:loop_var ~by:(Ir.Int_lit iv) body)
-        (List.init (hi - lo) (fun k -> lo + k))
+    let body =
+      rewrite_loops target
+        (fun ~descend (s : Ir.stmt) ->
+          match s with
+          | Ir.Simd d -> (
+              let body = descend d.Ir.body in
+              (* Unrolled simd replicas become region code every lane runs:
+                 atomic replicas would multiply their updates — decline. *)
+              match (d.Ir.lo, d.Ir.hi) with
+              | Ir.Int_lit lo, Ir.Int_lit hi
+                when hi - lo >= 1 && hi - lo <= simd_trip
+                     && not (Visit.exists is_atomic body) ->
+                  Some (replicate ~var:d.Ir.loop_var body (lo, hi))
+              | _ -> Some [ Ir.Simd { d with Ir.body = body } ])
+          | Ir.For { var; lo; hi; body } -> (
+              let body = descend body in
+              (* Sequential replication is exact, atomics included — this is
+                 what makes collapse-produced literal inner loops unrollable. *)
+              match (lo, hi) with
+              | Ir.Int_lit l, Ir.Int_lit h when h - l >= 1 && h - l <= max_trip ->
+                  Some (replicate ~var body (l, h))
+              | _ -> Some [ Ir.For { var; lo; hi; body } ])
+          | _ -> None)
+        k.Ir.body
     in
-    let rec stmts body = List.concat_map stmt body
-    and stmt (s : Ir.stmt) =
-      match s with
-      | Ir.Simd d -> (
-          incr pos;
-          let on = hits target ~pos:!pos ~var:d.Ir.loop_var in
-          let body = stmts d.Ir.body in
-          (* Unrolled simd replicas become region code every lane runs:
-             atomic replicas would multiply their updates — decline. *)
-          match (d.Ir.lo, d.Ir.hi) with
-          | Ir.Int_lit lo, Ir.Int_lit hi
-            when on && hi - lo >= 1 && hi - lo <= simd_trip
-                 && not (has_atomic body) ->
-              replicate ~loop_var:d.Ir.loop_var body (lo, hi)
-          | _ -> [ Ir.Simd { d with Ir.body = body } ])
-      | Ir.For { var; lo; hi; body } -> (
-          incr pos;
-          let on = hits target ~pos:!pos ~var in
-          let body = stmts body in
-          (* Sequential replication is exact, atomics included — this is
-             what makes collapse-produced literal inner loops unrollable. *)
-          match (lo, hi) with
-          | Ir.Int_lit l, Ir.Int_lit h
-            when on && h - l >= 1 && h - l <= max_trip ->
-              replicate ~loop_var:var body (l, h)
-          | _ -> [ Ir.For { var; lo; hi; body } ])
-      | Ir.If (c, a, b) -> [ Ir.If (c, stmts a, stmts b) ]
-      | Ir.While (c, b) -> [ Ir.While (c, stmts b) ]
-      | Ir.Distribute_parallel_for d ->
-          incr pos;
-          [ Ir.Distribute_parallel_for { d with Ir.body = stmts d.Ir.body } ]
-      | Ir.Parallel_for d ->
-          incr pos;
-          [ Ir.Parallel_for { d with Ir.body = stmts d.Ir.body } ]
-      | Ir.Simd_sum { acc; value; dir } ->
-          incr pos;
-          [ Ir.Simd_sum { acc; value; dir = { dir with Ir.body = stmts dir.Ir.body } } ]
-      | Ir.Guarded b -> [ Ir.Guarded (stmts b) ]
-      | (Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _
-        | Ir.Sync) as s ->
-          [ s ]
-    in
-    { k with Ir.body = stmts k.Ir.body }
+    { k with Ir.body = body }
   in
   { name = Printf.sprintf "unroll(%d)" max_trip; transform }
 
 (* --- loop-invariant code motion ------------------------------------------ *)
-
-let rec load_arrays acc (e : Ir.expr) =
-  match e with
-  | Ir.Load (a, idx) | Ir.Load_int (a, idx) -> load_arrays (Names.add a acc) idx
-  | Ir.Binop (_, x, y) -> load_arrays (load_arrays acc x) y
-  | Ir.Unop (_, x) -> load_arrays acc x
-  | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> acc
 
 (* Hoist top-level Decls whose initializer is invariant in the loop out in
    front of it, under a fresh name (the loop's scope may already have the
@@ -513,71 +284,54 @@ let rec load_arrays acc (e : Ir.expr) =
 let licm ?(target = T_all) () =
   let transform (k : Ir.kernel) =
     let fresh = freshener k in
-    let hoist_from ~var ~lo ~hi body =
+    let hoist (l : Visit.loop) =
       let trip_positive =
-        match (Fold.expr lo, Fold.expr hi) with
-        | Ir.Int_lit l, Ir.Int_lit h -> h > l
+        match (Fold.expr l.Visit.lo, Fold.expr l.Visit.hi) with
+        | Ir.Int_lit lo, Ir.Int_lit hi -> hi > lo
         | _ -> false
       in
-      let muts = Names.add var (mutated_in Names.empty body) in
-      let _, written = array_rw body in
-      let binds = top_decl_names body in
+      let fx = effects l.Visit.body in
+      let muts = Names.add l.Visit.var fx.writes in
+      let binds = Visit.declared l.Visit.body in
       let hoistable name init =
-        let reads = expr_reads Names.empty init in
-        Names.is_empty
-          (Names.inter reads (Names.union muts (Names.remove name binds)))
+        let ix = expr_effects init in
+        Names.disjoint ix.reads (Names.union muts (Names.remove name binds))
         && (not (Names.mem name muts))
         && trap_free ~loads:trip_positive init
-        && Names.is_empty (Names.inter (load_arrays Names.empty init) written)
+        && Names.disjoint ix.loads fx.stores
       in
-      let hoisted, rest =
-        List.partition_map
+      match
+        List.filter_map
           (fun (s : Ir.stmt) ->
             match s with
-            | Ir.Decl { name; ty; init } when hoistable name init ->
-                Left (name, ty, init)
-            | s -> Right s)
-          body
-      in
-      if hoisted = [] then None
-      else
-        let decls, rest =
-          List.fold_left
-            (fun (ds, b) (name, ty, init) ->
-              let fresh_name = fresh name in
-              ( Ir.Decl { name = fresh_name; ty; init } :: ds,
-                Subst.stmts ~var:name ~by:(Ir.Var fresh_name) b ))
-            ([], rest) hoisted
-        in
-        Some (List.rev decls, rest)
+            | Ir.Decl { name; init; _ } when hoistable name init ->
+                Some (name, fresh name)
+            | _ -> None)
+          l.Visit.body
+      with
+      | [] -> None
+      | renames ->
+          (* rename in place, so only the uses the declarations bind
+             follow them out *)
+          let fresh_names = List.map snd renames in
+          Some
+            (List.partition
+               (fun (s : Ir.stmt) ->
+                 match s with
+                 | Ir.Decl { name; _ } -> List.mem name fresh_names
+                 | _ -> false)
+               (Visit.rename (fun n -> List.assoc_opt n renames) l.Visit.body))
     in
     let body =
-      map_loops
-        (fun ~pos ~var s ->
-          if not (hits target ~pos ~var) then None
-          else
-            let rebuild (d : Ir.loop_directive) body = { d with Ir.body = body } in
-            match s with
-            | Ir.For { var; lo; hi; body } -> (
-                match hoist_from ~var ~lo ~hi body with
-                | None -> None
-                | Some (decls, body) ->
-                    Some (decls @ [ Ir.For { var; lo; hi; body } ]))
-            | Ir.Simd d -> (
-                match hoist_from ~var:d.Ir.loop_var ~lo:d.Ir.lo ~hi:d.Ir.hi d.Ir.body with
-                | None -> None
-                | Some (decls, body) -> Some (decls @ [ Ir.Simd (rebuild d body) ]))
-            | Ir.Parallel_for d -> (
-                match hoist_from ~var:d.Ir.loop_var ~lo:d.Ir.lo ~hi:d.Ir.hi d.Ir.body with
-                | None -> None
-                | Some (decls, body) ->
-                    Some (decls @ [ Ir.Parallel_for (rebuild d body) ]))
-            | Ir.Distribute_parallel_for d -> (
-                match hoist_from ~var:d.Ir.loop_var ~lo:d.Ir.lo ~hi:d.Ir.hi d.Ir.body with
-                | None -> None
-                | Some (decls, body) ->
-                    Some (decls @ [ Ir.Distribute_parallel_for (rebuild d body) ]))
-            | _ -> None)
+      rewrite_loops target
+        (fun ~descend:_ (s : Ir.stmt) ->
+          match (s, Visit.loop s) with
+          | Ir.Simd_sum _, _ | _, None -> None
+          | _, Some l ->
+              Option.map
+                (fun (decls, body) ->
+                  decls @ [ Visit.map ~body:(fun _ -> body) ~expr:Fun.id s ])
+                (hoist l))
         k.Ir.body
     in
     { k with Ir.body = body }
@@ -609,74 +363,33 @@ let strength_reduce ?(target = T_all) () =
       | Ir.Var v -> Names.mem v param_ints
       | _ -> false
     in
-    (* every [i * stride] / [stride * i] with an eligible stride *)
-    let rec collect_expr i acc (e : Ir.expr) =
-      let acc =
-        match e with
-        | Ir.Binop (Ir.Mul, Ir.Var v, s) when String.equal v i && ok_stride s ->
-            if List.mem s acc then acc else s :: acc
-        | Ir.Binop (Ir.Mul, s, Ir.Var v) when String.equal v i && ok_stride s ->
-            if List.mem s acc then acc else s :: acc
-        | _ -> acc
-      in
+    (* the stride of an [i * stride] / [stride * i] product *)
+    let stride_of i (e : Ir.expr) =
       match e with
-      | Ir.Binop (_, a, b) -> collect_expr i (collect_expr i acc a) b
-      | Ir.Unop (_, a) | Ir.Load (_, a) | Ir.Load_int (_, a) ->
-          collect_expr i acc a
-      | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> acc
-    in
-    let rec collect_body i acc body = List.fold_left (collect_stmt i) acc body
-    and collect_stmt i acc (s : Ir.stmt) =
-      match s with
-      | Ir.Decl { init; _ } -> collect_expr i acc init
-      | Ir.Assign (_, e) -> collect_expr i acc e
-      | Ir.Store (_, a, b) | Ir.Store_int (_, a, b) | Ir.Atomic_add (_, a, b)
-        ->
-          collect_expr i (collect_expr i acc a) b
-      | Ir.If (c, a, b) -> collect_body i (collect_body i (collect_expr i acc c) a) b
-      | Ir.While (c, b) -> collect_body i (collect_expr i acc c) b
-      | Ir.For { var; lo; hi; body } ->
-          let acc = collect_expr i (collect_expr i acc lo) hi in
-          if String.equal var i then acc else collect_body i acc body
-      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-          let acc = collect_expr i (collect_expr i acc d.Ir.lo) d.Ir.hi in
-          if String.equal d.Ir.loop_var i then acc
-          else collect_body i acc d.Ir.body
-      | Ir.Simd_sum { value; dir; _ } ->
-          let acc = collect_expr i (collect_expr i acc dir.Ir.lo) dir.Ir.hi in
-          if String.equal dir.Ir.loop_var i then acc
-          else collect_body i (collect_expr i acc value) dir.Ir.body
-      | Ir.Guarded b -> collect_body i acc b
-      | Ir.Sync -> acc
-    in
-    (* the body must not rebind the induction variable anywhere, or the
-       textual replacement could cross a shadowing boundary *)
-    let rec rebinds i body =
-      List.exists
-        (fun (s : Ir.stmt) ->
-          match s with
-          | Ir.Decl { name; _ } -> String.equal name i
-          | Ir.For { var; body = b; _ } -> String.equal var i || rebinds i b
-          | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-              String.equal d.Ir.loop_var i || rebinds i d.Ir.body
-          | Ir.Simd_sum { dir; _ } ->
-              String.equal dir.Ir.loop_var i || rebinds i dir.Ir.body
-          | Ir.If (_, a, b) -> rebinds i a || rebinds i b
-          | Ir.While (_, b) | Ir.Guarded b -> rebinds i b
-          | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _
-          | Ir.Sync ->
-              false)
-        body
+      | Ir.Binop (Ir.Mul, Ir.Var v, s) when String.equal v i && ok_stride s ->
+          Some s
+      | Ir.Binop (Ir.Mul, s, Ir.Var v) when String.equal v i && ok_stride s ->
+          Some s
+      | _ -> None
     in
     let body =
-      map_loops
-        (fun ~pos ~var s ->
+      rewrite_loops target
+        (fun ~descend:_ (s : Ir.stmt) ->
           match s with
+          (* the body must not rebind the induction variable anywhere, or
+             the textual replacement could cross a shadowing boundary *)
           | Ir.For { var = i; lo; hi; body }
-            when hits target ~pos ~var
-                 && (not (rebinds i body))
-                 && trap_free ~loads:false lo -> (
-              match List.rev (collect_body i [] body) with
+            when (not (Visit.exists (binds i) body)) && trap_free ~loads:false lo
+            -> (
+              let strides =
+                Visit.fold_exprs
+                  (fun acc e ->
+                    match stride_of i e with
+                    | Some s when not (List.mem s acc) -> s :: acc
+                    | _ -> acc)
+                  [] body
+              in
+              match List.rev strides with
               | [] -> None
               | strides ->
                   let strides =
@@ -688,12 +401,7 @@ let strength_reduce ?(target = T_all) () =
                         let a = fresh (i ^ "_sr") in
                         let rec replace (e : Ir.expr) =
                           match e with
-                          | Ir.Binop (Ir.Mul, Ir.Var v, s)
-                            when String.equal v i && s = stride ->
-                              Ir.Var a
-                          | Ir.Binop (Ir.Mul, s, Ir.Var v)
-                            when String.equal v i && s = stride ->
-                              Ir.Var a
+                          | _ when stride_of i e = Some stride -> Ir.Var a
                           | Ir.Binop (op, x, y) ->
                               Ir.Binop (op, replace x, replace y)
                           | Ir.Unop (op, x) -> Ir.Unop (op, replace x)
@@ -701,10 +409,8 @@ let strength_reduce ?(target = T_all) () =
                           | Ir.Load_int (arr, x) -> Ir.Load_int (arr, replace x)
                           | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> e
                         in
-                        let body = map_exprs_shadow ~var:i replace body in
-                        let body =
-                          body
-                          @ [ Ir.Assign (a, Ir.Binop (Ir.Add, Ir.Var a, stride)) ]
+                        let rec replace_in body =
+                          List.map (Visit.map ~body:replace_in ~expr:replace) body
                         in
                         ( Ir.Decl
                             {
@@ -713,7 +419,8 @@ let strength_reduce ?(target = T_all) () =
                               init = Fold.expr (Ir.Binop (Ir.Mul, lo, stride));
                             }
                           :: ds,
-                          body ))
+                          replace_in body
+                          @ [ Ir.Assign (a, Ir.Binop (Ir.Add, Ir.Var a, stride)) ] ))
                       ([], body) strides
                   in
                   Some (List.rev decls @ [ Ir.For { var = i; lo; hi; body } ]))
@@ -734,10 +441,8 @@ let strength_reduce ?(target = T_all) () =
 let collapse ?(target = T_all) () =
   let transform (k : Ir.kernel) =
     let body =
-      map_loops
-        (fun ~pos ~var s ->
-          if not (hits target ~pos ~var) then None
-          else
+      rewrite_loops target
+        (fun ~descend:_ s ->
             let try_dir rebuild (d : Ir.loop_directive) =
               let fv = d.Ir.loop_var in
               if Fold.expr d.Ir.lo <> Ir.Int_lit 0 then None
@@ -799,44 +504,25 @@ let collapse ?(target = T_all) () =
                   in
                   let vars = List.map (fun (v, _, _) -> v) decoders in
                   let var_set = Names.of_list vars in
-                  let rest_reads = stmt_list_reads rest in
-                  let rest_muts = mutated_in Names.empty rest in
-                  let _, rest_written = array_rw rest in
-                  let rec decl_names_deep acc body =
-                    List.fold_left
-                      (fun acc (st : Ir.stmt) ->
-                        match st with
-                        | Ir.Decl { name; _ } -> Names.add name acc
-                        | Ir.If (_, a, b) ->
-                            decl_names_deep (decl_names_deep acc a) b
-                        | Ir.While (_, b)
-                        | Ir.For { body = b; _ }
-                        | Ir.Guarded b ->
-                            decl_names_deep acc b
-                        | Ir.Distribute_parallel_for dd
-                        | Ir.Parallel_for dd
-                        | Ir.Simd dd ->
-                            decl_names_deep acc dd.Ir.body
-                        | Ir.Simd_sum { dir; _ } ->
-                            decl_names_deep acc dir.Ir.body
-                        | _ -> acc)
-                      acc body
-                  in
+                  let fx = effects rest in
                   let extent_ok e =
-                    let reads = expr_reads Names.empty e in
-                    Names.is_empty (Names.inter reads var_set)
-                    && Names.is_empty (Names.inter reads rest_muts)
-                    && Names.is_empty
-                         (Names.inter (load_arrays Names.empty e) rest_written)
+                    let ex = expr_effects e in
+                    Names.disjoint ex.reads var_set
+                    && Names.disjoint ex.reads fx.writes
+                    && Names.disjoint ex.loads fx.stores
                   in
                   if
                     inners_ok decoders
                     && Fold.expr d.Ir.hi = product extents
-                    && (not (Names.mem fv rest_reads))
+                    && (not (Names.mem fv fx.reads))
                     && List.for_all extent_ok extents
-                    && Names.is_empty (Names.inter var_set rest_muts)
-                    && Names.is_empty
-                         (Names.inter var_set (decl_names_deep Names.empty rest))
+                    && Names.disjoint var_set fx.writes
+                    && not
+                         (Visit.exists
+                            (function
+                              | Ir.Decl { name; _ } -> Names.mem name var_set
+                              | _ -> false)
+                            rest)
                   then
                     match decoders with
                     | (v1, _, e1) :: inner_decoders ->
@@ -868,7 +554,7 @@ let collapse ?(target = T_all) () =
                     | [] -> None
                   else None
             in
-            match s with
+            match (s : Ir.stmt) with
             | Ir.Distribute_parallel_for d ->
                 try_dir (fun d -> Ir.Distribute_parallel_for d) d
             | Ir.Parallel_for d -> try_dir (fun d -> Ir.Parallel_for d) d
@@ -897,8 +583,8 @@ let interchange ?(target = T_all) () =
       | _ -> None
     in
     let body =
-      map_loops
-        (fun ~pos ~var s ->
+      rewrite_loops target
+        (fun ~descend:_ (s : Ir.stmt) ->
           match s with
           | Ir.For
               {
@@ -906,19 +592,18 @@ let interchange ?(target = T_all) () =
                 lo = ilo;
                 hi = ihi;
                 body = [ Ir.For { var = j; lo = jlo; hi = jhi; body } ];
-              }
-            when hits target ~pos ~var -> (
+              } -> (
               let bounds_ok =
                 List.for_all (trap_free ~loads:false) [ ilo; ihi; jlo; jhi ]
-                && (not (Names.mem i (expr_reads Names.empty jlo)))
-                && not (Names.mem i (expr_reads Names.empty jhi))
+                && (not (Names.mem i (expr_effects jlo).reads))
+                && not (Names.mem i (expr_effects jhi).reads)
               in
               let jrange =
                 match (Fold.expr jlo, Fold.expr jhi) with
                 | Ir.Int_lit l, Ir.Int_lit h when l >= 0 -> Some (l, h)
                 | _ -> None
               in
-              let r, w = array_rw body in
+              let fx = effects body in
               let rec stores_ok stmts =
                 List.for_all
                   (fun (st : Ir.stmt) ->
@@ -935,10 +620,10 @@ let interchange ?(target = T_all) () =
               match jrange with
               | Some _
                 when bounds_ok
-                     && Names.is_empty (Names.inter r w)
-                     && Names.is_empty (free_assigns body)
-                     && (not (has_atomic body))
-                     && (not (contains_sync body))
+                     && Names.disjoint fx.loads fx.stores
+                     && Names.is_empty (Visit.free_writes body)
+                     && (not (Visit.exists is_atomic body))
+                     && (not (Visit.exists is_sync body))
                      && stores_ok body ->
                   Some
                     [
@@ -961,22 +646,6 @@ let interchange ?(target = T_all) () =
 
 (* --- loop fusion ----------------------------------------------------------- *)
 
-let rec decl_names_anywhere acc body =
-  List.fold_left
-    (fun acc (s : Ir.stmt) ->
-      match s with
-      | Ir.Decl { name; _ } -> Names.add name acc
-      | Ir.If (_, a, b) -> decl_names_anywhere (decl_names_anywhere acc a) b
-      | Ir.While (_, b) | Ir.For { body = b; _ } | Ir.Guarded b ->
-          decl_names_anywhere acc b
-      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-          decl_names_anywhere acc d.Ir.body
-      | Ir.Simd_sum { dir; _ } -> decl_names_anywhere acc dir.Ir.body
-      | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _ | Ir.Sync
-        ->
-          acc)
-    acc body
-
 (* Fuse adjacent loops over the same iteration space.  The second body is
    renamed apart, checked for independence — the first loop's writes must
    not feed the second's reads or overlap its writes, and vice versa, or
@@ -989,28 +658,32 @@ let fuse ?(target = T_all) () =
     let pos = ref (-1) in
     let fcount = ref 0 in
     let can_fuse ~v1 ~b1 ~v2 ~b2' =
-      let r1, w1 = array_rw b1 in
-      let r2, w2 = array_rw b2' in
-      let reads2 = stmt_list_reads b2' in
-      Names.is_empty (Names.inter w1 (Names.union r2 w2))
-      && Names.is_empty (Names.inter w2 r1)
-      && (not (contains_sync b1))
-      && (not (contains_sync b2'))
-      && Names.is_empty (free_assigns b1)
-      && Names.is_empty (free_assigns b2')
-      && Names.is_empty (Names.inter (top_decl_names b1) reads2)
+      let fx1 = effects b1 and fx2 = effects b2' in
+      Names.disjoint fx1.stores (Names.union fx2.loads fx2.stores)
+      && Names.disjoint fx2.stores fx1.loads
+      && (not (Visit.exists is_sync b1))
+      && (not (Visit.exists is_sync b2'))
+      && Names.is_empty (Visit.free_writes b1)
+      && Names.is_empty (Visit.free_writes b2')
+      && Names.disjoint (Visit.declared b1) fx2.reads
       && (String.equal v1 v2
-         || (not (Names.mem v1 reads2))
-            && not (Names.mem v1 (decl_names_anywhere Names.empty b2')))
+         || (not (Names.mem v1 fx2.reads))
+            && not (Visit.exists (binds v1) b2'))
     in
     let fuse_bodies ~v1 ~b1 ~v2 ~b2 =
       incr fcount;
-      let b2' = rename_decls ~suffix:(Printf.sprintf "__f%d" !fcount) b2 in
+      let suffix = Printf.sprintf "__f%d" !fcount in
+      let decls = Visit.declared b2 in
+      let b2' =
+        Visit.rename
+          (fun n -> if Names.mem n decls then Some (n ^ suffix) else None)
+          b2
+      in
       if not (can_fuse ~v1 ~b1 ~v2 ~b2') then None
       else
         let b2' =
           if String.equal v1 v2 then b2'
-          else Subst.stmts ~var:v2 ~by:(Ir.Var v1) b2'
+          else Visit.subst ~var:v2 ~by:(Ir.Var v1) b2'
         in
         Some (b1 @ b2')
     in
@@ -1043,30 +716,9 @@ let fuse ?(target = T_all) () =
                    (Ir.For { var = v2; lo = lo2; hi = hi2; body = b2 } :: rest))
       | s :: rest -> descend s :: stmts rest
       | [] -> []
-    and descend (s : Ir.stmt) =
-      match s with
-      | Ir.For { var; lo; hi; body } ->
-          incr pos;
-          Ir.For { var; lo; hi; body = stmts body }
-      | Ir.Simd d ->
-          incr pos;
-          Ir.Simd { d with Ir.body = stmts d.Ir.body }
-      | Ir.Parallel_for d ->
-          incr pos;
-          Ir.Parallel_for { d with Ir.body = stmts d.Ir.body }
-      | Ir.Distribute_parallel_for d ->
-          incr pos;
-          Ir.Distribute_parallel_for { d with Ir.body = stmts d.Ir.body }
-      | Ir.Simd_sum { acc; value; dir } ->
-          incr pos;
-          Ir.Simd_sum
-            { acc; value; dir = { dir with Ir.body = stmts dir.Ir.body } }
-      | Ir.If (c, a, b) -> Ir.If (c, stmts a, stmts b)
-      | Ir.While (c, b) -> Ir.While (c, stmts b)
-      | Ir.Guarded b -> Ir.Guarded (stmts b)
-      | (Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _
-        | Ir.Atomic_add _ | Ir.Sync) as s ->
-          s
+    and descend s =
+      if Option.is_some (Visit.loop s) then incr pos;
+      Visit.map ~body:stmts ~expr:Fun.id s
     in
     { k with Ir.body = stmts k.Ir.body }
   in
@@ -1094,12 +746,11 @@ let tile ?(width = warp_width) ?(target = T_all) () =
       | _ -> false
     in
     let body =
-      map_loops
-        (fun ~pos ~var s ->
+      rewrite_loops target
+        (fun ~descend:_ (s : Ir.stmt) ->
           match s with
           | Ir.Simd d
-            when hits target ~pos ~var
-                 && (not (has_atomic d.Ir.body))
+            when (not (Visit.exists is_atomic d.Ir.body))
                  && (not (already_tiled d.Ir.lo))
                  &&
                  match (Fold.expr d.Ir.lo, Fold.expr d.Ir.hi) with

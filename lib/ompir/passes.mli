@@ -1,11 +1,13 @@
 (** The optimization pipeline: named semantics-preserving kernel
     transforms, composable and individually testable.
 
-    Passes operate before outlining.  Each is checked to preserve
-    well-formedness when the input was well-formed; the differential test
-    suite cross-checks results against unoptimized execution, and no pass
-    may introduce a static may-race finding ({!Racecheck}) — transforms
-    that would are reverted.
+    Passes operate before outlining and walk kernels through {!Visit}:
+    every renaming and substitution follows its scope rules.  Each pass
+    is checked to preserve well-formedness when the input was
+    well-formed; the differential test suite cross-checks results
+    against unoptimized execution, and no pass may introduce a static
+    may-race finding ({!Racecheck}) — transforms that would are
+    reverted.
 
     Pipelines are described by a small spec language (the
     [OMPSIMD_PASSES] environment variable): a comma-separated list of
@@ -34,13 +36,17 @@ val fold : pass
 val dce : pass
 (** Dead-code elimination: drops declarations never read and assignments
     to scalars never read afterwards, when the right-hand side is pure
-    (loads stay — they can trap). *)
+    (loads stay — they can trap).  A reduction's summand reads in its
+    body's scope, so the body declarations it reads stay. *)
 
 val unroll : ?max_trip:int -> ?simd_trip:int -> ?target:target -> unit -> pass
 (** Full unrolling of loops with a small literal trip count.  Sequential
     [For] loops replicate exactly up to [max_trip] (default 8)
     iterations, atomics included — which is what unrolls the
-    literal-bound inner loops the {!collapse} pass leaves behind.  [simd]
+    literal-bound inner loops the {!collapse} pass leaves behind.  Each
+    replica renames the body's top-level declarations apart
+    ({!Visit.rename}: assignments and accumulators follow) and reads the
+    iteration's literal for the loop variable ({!Visit.subst}).  [simd]
     loops are replicated into straight region code up to [simd_trip]
     trips (default [min max_trip 8]; every lane executes every replica,
     and the rewrite erases the loop's parallel structure, so the default
@@ -109,7 +115,10 @@ val run : pass list -> Ir.kernel -> Ir.kernel
 val run_verified :
   pass list -> Ir.kernel -> (Ir.kernel, string * Check.error list) result
 (** Like {!run} but re-checks well-formedness after every pass, reporting
-    the name of the first pass that broke the kernel.  Every production
+    the name of the first pass that broke the kernel.  It catches a
+    transform that leaves a name unbound, a type wrong or a directive
+    misplaced; it cannot catch one that produces a well-formed kernel
+    computing something else — the differential tests look for those.  Every production
     compile runs through it ([Openmp.Offload.compile]), so a kernel is
     checked once per pass on top of the initial check; each
     {!Check.kernel} is linear (expected) in the kernel's size. *)

@@ -49,7 +49,7 @@ let directive_mode (d : Ir.loop_directive) =
   else Omprt.Mode.Generic
 
 let analyze (k : Ir.kernel) =
-  Ir.fold_directives
+  Visit.fold
     (fun acc s ->
       match s with
       | Ir.Parallel_for d | Ir.Distribute_parallel_for d ->
@@ -68,20 +68,12 @@ let all_spmd k =
    executes the guarded code once and broadcasts declared values.  Only
    statement runs *outside* simd loops are touched. *)
 
-let rec contains_directive body =
-  List.exists
-    (fun (s : Ir.stmt) ->
-      match s with
-      | Ir.Simd _ | Ir.Simd_sum _ | Ir.Parallel_for _
-      | Ir.Distribute_parallel_for _ ->
-          true
-      | Ir.If (_, a, b) -> contains_directive a || contains_directive b
-      | Ir.While (_, b) | Ir.For { body = b; _ } | Ir.Guarded b ->
-          contains_directive b
-      | Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _
-      | Ir.Atomic_add _ | Ir.Sync ->
-          false)
-    body
+let is_directive (s : Ir.stmt) =
+  match s with
+  | Ir.Simd _ | Ir.Simd_sum _ | Ir.Parallel_for _ | Ir.Distribute_parallel_for _
+    ->
+      true
+  | _ -> false
 
 let rec is_offender ~locals (s : Ir.stmt) =
   match s with
@@ -91,14 +83,23 @@ let rec is_offender ~locals (s : Ir.stmt) =
       (* a control structure is only guardable when no worksharing
          directive hides inside: guarding a simd loop would desynchronize
          its group protocol *)
-      (not (contains_directive a || contains_directive b))
-      && (List.exists (is_offender ~locals) a
-         || List.exists (is_offender ~locals) b)
+      (not (Visit.exists is_directive a || Visit.exists is_directive b))
+      && (offends ~locals a || offends ~locals b)
   | Ir.While (_, body) | Ir.For { body; _ } ->
-      (not (contains_directive body))
-      && List.exists (is_offender ~locals) body
+      (not (Visit.exists is_directive body)) && offends ~locals body
   | Ir.Decl _ | Ir.Simd _ | Ir.Simd_sum _ | Ir.Guarded _ | Ir.Sync -> false
   | Ir.Parallel_for _ | Ir.Distribute_parallel_for _ -> false
+
+(* some statement of a nested body offends, each seeing the body's
+   declarations before it: assigning those is as private as assigning
+   a region local *)
+and offends ~locals body =
+  fst
+    (List.fold_left
+       (fun (found, locals) (s : Ir.stmt) ->
+         ( found || is_offender ~locals s,
+           match s with Ir.Decl { name; _ } -> name :: locals | _ -> locals ))
+       (false, locals) body)
 
 let guardize_body body =
   let guards = ref 0 in
@@ -135,12 +136,7 @@ let guardize (k : Ir.kernel) =
         let body, n = guardize_body d.Ir.body in
         total := Stdlib.( + ) !total n;
         Ir.Distribute_parallel_for { d with Ir.body }
-    | Ir.If (c, a, b) -> Ir.If (c, stmts a, stmts b)
-    | Ir.While (c, body) -> Ir.While (c, stmts body)
-    | Ir.For { var; lo; hi; body } -> Ir.For { var; lo; hi; body = stmts body }
-    | ( Ir.Decl _ | Ir.Assign _ | Ir.Store _ | Ir.Store_int _ | Ir.Atomic_add _
-      | Ir.Simd _ | Ir.Simd_sum _ | Ir.Guarded _ | Ir.Sync ) as s ->
-        s
+    | s -> Visit.map ~body:stmts ~expr:Fun.id s
   in
   let body = stmts k.Ir.body in
   ({ k with Ir.body }, !total)

@@ -197,8 +197,72 @@ let gen_case ?(plant = Gen.return No_plant) st =
         init = gen_float_expr [ "r" ] [] 2 st;
       }
   in
+  (* a sequential loop over [w] (literal trip 1-4) in region code that
+     only assigns locals, so it stays SPMD-safe.  It either refines
+     [base]; or declares a local of its own — sometimes shadowing [base]
+     — and assigns it (a shadowing local must leave the outer [base]
+     alone, any other is added to it); or refines [base] and holds a
+     simd reduction whose body re-declares a name of the loop body ([x],
+     or [w] itself) that the summand reads.  Unrolling replicates the
+     body, so these exercise the scope rules of renaming and
+     substitution.  The last two store [base] or the reduction's total to
+     [marks] after the loop. *)
+  let with_loop = Gen.bool st in
+  let shape = Gen.int_range 0 2 st in
+  let loop_body, loop_before, loop_after =
+    let refine = Ir.Assign ("base", Ir.(Binop (Add, Var "base", Float_lit 0.25))) in
+    match shape with
+    | 0 -> ([ refine ], [], [])
+    | 1 ->
+        let l = if Gen.bool st then "base" else "x" in
+        ( [
+            Ir.Decl
+              { name = l; ty = Ir.Tfloat; init = gen_float_expr [ "r"; "w" ] [ "base" ] 1 st };
+            Ir.Assign (l, Ir.(Binop (Add, Var l, Float_lit 1.0)));
+          ]
+          @ (if l = "x" then [ Ir.Assign ("base", Ir.(Binop (Add, Var "base", Var "x"))) ]
+             else []),
+          [],
+          [ Ir.Store ("marks", Ir.Var "r", Ir.Var "base") ] )
+    | _ ->
+        let redecl, summand =
+          if Gen.bool st then
+            ( Ir.Decl
+                { name = "x"; ty = Ir.Tfloat; init = gen_float_expr [ "r"; "k" ] [] 1 st },
+              Ir.Var "x" )
+          else
+            ( Ir.Decl
+                { name = "w"; ty = Ir.Tint; init = Ir.(Binop (Add, Var "k", Int_lit 1)) },
+              Ir.(Binop (Add, Unop (To_float, Var "w"), Var "x")) )
+        in
+        ( [
+            refine;
+            Ir.Decl
+              { name = "x"; ty = Ir.Tfloat; init = gen_float_expr [ "r"; "w" ] [ "base" ] 1 st };
+            Ir.simd_sum ~acc:"fsum" ~var:"k" ~lo:(Ir.Int_lit 0) ~hi:(Ir.Int_lit width)
+              ~value:summand [ redecl ];
+          ],
+          [ Ir.Decl { name = "fsum"; ty = Ir.Tfloat; init = Ir.Float_lit 0.0 } ],
+          [ Ir.Store ("marks", Ir.Var "r", Ir.Var "fsum") ] )
+  in
+  let seq_loop =
+    if with_loop then
+      loop_before
+      @ [
+          Ir.For
+            {
+              var = "w";
+              lo = Ir.Int_lit 0;
+              hi = Ir.Int_lit (Gen.int_range 1 4 st);
+              body = loop_body;
+            };
+        ]
+      @ loop_after
+    else []
+  in
+  (* a sequential store, unless the loop stores to the same cell *)
   let seq_store =
-    if Gen.bool st then
+    if (not (with_loop && shape > 0)) && Gen.bool st then
       [ Ir.Store ("marks", Ir.Var "r", gen_float_expr [ "r" ] [ "base" ] 1 st) ]
     else []
   in
@@ -209,20 +273,6 @@ let gen_case ?(plant = Gen.return No_plant) st =
     | Plant_leader ->
         [ Ir.Guarded [ Ir.Store ("marks", Ir.Int_lit 0, gen_float_expr [ "r" ] [] 1 st) ] ]
     | No_plant | Plant_lane -> []
-  in
-  (* a pure sequential loop refining a local: SPMD-safe region code *)
-  let seq_loop =
-    if Gen.bool st then
-      [
-        Ir.For
-          {
-            var = "w";
-            lo = Ir.Int_lit 0;
-            hi = Ir.Int_lit (Gen.int_range 1 3 st);
-            body = [ Ir.Assign ("base", Ir.(Binop (Add, Var "base", Float_lit 0.25))) ];
-          };
-      ]
-    else []
   in
   let simd_loop =
     let body = gen_simd_body ~plant ~width [ "r"; "j" ] st in
@@ -686,6 +736,47 @@ let run_collapse_certification cc =
           (String.concat "\n" (Gpusim.Ompsan.report_strings san));
       true
 
+(* --- scope rules: Visit against Check ------------------------------------ *)
+
+(* Check types every name against the scope it is in, so a kernel it
+   accepts uses no free name but a parameter; Visit's walker must agree.
+   The outliner's captures are then the directive's free names: the
+   loop variable is rebound per iteration, and a reduction's accumulator
+   is assigned by the region rather than carried in the payload.
+   Guardized kernels add Guarded blocks, whose declarations extend the
+   enclosing scope. *)
+let scopes_agree case =
+  let module Visit = Ompir.Visit in
+  let k =
+    if case.guardize then fst (Ompir.Spmdize.guardize case.kernel) else case.kernel
+  in
+  if Check.kernel k <> Ok () then Test.fail_reportf "Check rejects the kernel";
+  let params = Visit.Names.of_list (List.map (fun (p : Ir.param) -> p.Ir.pname) k.Ir.params) in
+  let free = Visit.free_names k.Ir.body in
+  if not (Visit.Names.subset free params) then
+    Test.fail_reportf "free names beyond the parameters: %s"
+      (String.concat ", " (Visit.Names.elements (Visit.Names.diff free params)));
+  let program = Outline.run k in
+  let check (s : Ir.stmt) (d : Ir.loop_directive) ~acc =
+    let expected =
+      Visit.free_names [ s ] |> Visit.Names.remove d.Ir.loop_var
+      |> fun names -> Option.fold ~none:names ~some:(fun a -> Visit.Names.remove a names) acc
+    in
+    let o = Outline.find program ~fn_id:d.Ir.fn_id in
+    if Visit.Names.elements expected <> o.Outline.captures then
+      Test.fail_reportf "directive over %s: captures [%s], free names [%s]" d.Ir.loop_var
+        (String.concat ", " o.Outline.captures)
+        (String.concat ", " (Visit.Names.elements expected))
+  in
+  Visit.fold
+    (fun () (s : Ir.stmt) ->
+      match s with
+      | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d -> check s d ~acc:None
+      | Ir.Simd_sum { acc; dir; _ } -> check s dir ~acc:(Some acc)
+      | _ -> ())
+    () program.Outline.kernel.Ir.body;
+  true
+
 let qcheck_cases =
   let pool = Gpusim.Pool.create ~domains:3 () in
   [
@@ -710,6 +801,8 @@ let qcheck_cases =
       (fun case -> run_sanitizer_certification ~pool ~engine:`Staged case);
     Test.make ~name:"certified fleet: collapse(2) verdict == plant" ~count:60
       collapse_certified_arbitrary run_collapse_certification;
+    Test.make ~name:"random kernels: Visit's scopes agree with Check" ~count:300
+      certified_arbitrary scopes_agree;
     (* the serve cache keys on this digest: equal kernels must agree and
        structurally different kernels must split (the serialization is
        injective, so a collision would be an MD5 collision) *)

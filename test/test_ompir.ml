@@ -10,6 +10,7 @@ module Globalize = Ompir.Globalize
 module Spmdize = Ompir.Spmdize
 module Printer = Ompir.Printer
 module Eval = Ompir.Eval
+module Visit = Ompir.Visit
 
 let cfg = Gpusim.Config.small
 let check_int = Alcotest.check Alcotest.int
@@ -334,7 +335,7 @@ let test_free_vars () =
     ]
   in
   Alcotest.(check (list string)) "free" [ "a"; "b"; "k"; "n" ]
-    (Ir.free_vars body)
+    (Visit.Names.elements (Visit.free_names body))
 
 let test_outline_ids_and_captures () =
   let p = Outline.run spmv_kernel in
@@ -353,7 +354,7 @@ let test_outline_ids_and_captures () =
 let test_outline_annotates_ast () =
   let p = Outline.run spmv_kernel in
   let ids =
-    Ir.fold_directives
+    Visit.fold
       (fun acc s ->
         match s with
         | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
@@ -362,6 +363,93 @@ let test_outline_annotates_ast () =
       [] p.Outline.kernel.Ir.body
   in
   Alcotest.(check (list int)) "annotated ids" [ 1; 0 ] ids
+
+(* Visit's scope rules, one case each: free names, renaming and
+   substitution must all resolve a name to the binding the rule gives. *)
+let test_visit_scope_rules () =
+  let open Ir in
+  let free body = Visit.Names.elements (Visit.free_names body) in
+  let names = Alcotest.(check (list string)) in
+  let store e = Store ("a", i 0, e) in
+  names "a decl binds the rest, not its initializer" [ "a"; "x" ]
+    (free [ Decl { name = "x"; ty = Tfloat; init = v "x" }; store (v "x") ]);
+  names "a loop variable binds the body, not the bounds" [ "a"; "i" ]
+    (free [ For { var = "i"; lo = i 0; hi = v "i"; body = [ store (v "i") ] } ]);
+  names "a branch is a scope" [ "a"; "c"; "t" ]
+    (free [ If (v "c", [ Decl { name = "t"; ty = Tfloat; init = f 1.0 } ], []); store (v "t") ]);
+  names "guarded is transparent" [ "a" ]
+    (free [ Guarded [ Decl { name = "g"; ty = Tfloat; init = f 1.0 } ]; store (v "g") ]);
+  let reduction ~value body =
+    simd_sum ~acc:"acc" ~var:"k" ~lo:(i 0) ~hi:(v "n") ~value body
+  in
+  let t_decl = Decl { name = "t"; ty = Tfloat; init = f 1.0 } in
+  names "the summand sees the loop variable and the body's decls" [ "acc"; "n" ]
+    (free [ reduction ~value:(v "t" + Unop (To_float, v "k")) [ t_decl ] ]);
+  names "writes are uses of the visible binding" [ "acc"; "y" ]
+    (Visit.Names.elements
+       (Visit.free_writes
+          [
+            Assign ("y", f 1.0);
+            Decl { name = "z"; ty = Tfloat; init = f 0.0 };
+            Assign ("z", f 2.0);
+            reduction ~value:(f 1.0) [];
+          ]));
+  (* renaming follows a guarded decl and the summand, writes included *)
+  let renamed =
+    Visit.rename
+      (fun n -> if List.mem n [ "g"; "t" ] then Some (n ^ "1") else None)
+      [
+        Guarded [ Decl { name = "g"; ty = Tfloat; init = f 1.0 } ];
+        Assign ("g", v "g");
+        reduction ~value:(v "t") [ t_decl ];
+      ]
+  in
+  (match renamed with
+  | [
+   Guarded [ Decl { name = "g1"; _ } ];
+   Assign ("g1", Var "g1");
+   Simd_sum { value = Var "t1"; dir = { body = [ Decl { name = "t1"; _ } ]; _ }; _ };
+  ] ->
+      ()
+  | _ -> Alcotest.fail "rename across guarded and summand");
+  (* substitution stops where the reduction body re-declares the name *)
+  match Visit.subst ~var:"t" ~by:(f 9.0) [ reduction ~value:(v "t") [ t_decl ] ] with
+  | [ Simd_sum { value = Var "t"; _ } ] -> ()
+  | _ -> Alcotest.fail "summand reads the body's t"
+
+(* Region locals whose names once served the outliner as placeholders:
+   a simd body reading [__sink] and a reduction body reading [__red] must
+   capture them like any other local. *)
+let test_outline_captures_any_name () =
+  let k =
+    Ompir.Parse.kernel
+      {|kernel names(double* out, double* sums, int n) {
+  #pragma omp teams distribute parallel for
+  for (r = 0; r < n; r++) {
+    double __sink = 2.0;
+    double __red = 3.0;
+    #pragma omp simd
+    for (j = 0; j < 4; j++) {
+      out[r * 4 + j] = __sink;
+    }
+    double total = 0.0;
+    #pragma omp simd reduction(+:total)
+    for (k = 0; k < 4; k++) {
+      double t = __red * 2.0;
+      total += t;
+    }
+    sums[r] = total;
+  }
+}|}
+  in
+  check_bool "check accepts" true (Check.kernel k = Ok ());
+  let p = Outline.run k in
+  Alcotest.(check (list string))
+    "simd captures" [ "__sink"; "out"; "r" ]
+    (Outline.find p ~fn_id:1).Outline.captures;
+  Alcotest.(check (list string))
+    "reduction captures" [ "__red" ]
+    (Outline.find p ~fn_id:2).Outline.captures
 
 (* --- globalize ----------------------------------------------------------- *)
 
@@ -907,7 +995,7 @@ kernel dots(double* a, double* out, int n) {
   (* find the directive forms *)
   let found_dyn = ref false and found_red = ref false in
   ignore
-    (Ir.fold_directives
+    (Visit.fold
        (fun () s ->
          match s with
          | Ir.Distribute_parallel_for d when d.Ir.sched = Ir.Sched_dynamic 2 ->
@@ -997,7 +1085,7 @@ kernel g(double* marks, int n) {
   in
   let k = Parse.kernel src in
   let guards =
-    Ir.fold_directives (fun acc _ -> acc) 0 k.Ir.body |> fun _ ->
+    Visit.fold (fun acc _ -> acc) 0 k.Ir.body |> fun _ ->
     let rec count stmts =
       List.fold_left
         (fun acc s ->
@@ -1079,7 +1167,6 @@ let test_fold_preserves_semantics () =
 (* --- passes: dce / unroll / subst ---------------------------------------- *)
 
 module Passes = Ompir.Passes
-module Subst = Ompir.Subst
 
 let test_subst () =
   let body =
@@ -1090,7 +1177,7 @@ let test_subst () =
                body = [ Ir.Store ("a", Ir.v "j", Ir.f 0.0) ] };
     ]
   in
-  match Subst.stmts ~var:"j" ~by:(Ir.i 7) body with
+  match Visit.subst ~var:"j" ~by:(Ir.i 7) body with
   | [
       Ir.Decl { init = Ir.Binop (Ir.Add, Ir.Int_lit 7, Ir.Int_lit 1); _ };
       Ir.Store (_, _, Ir.Unop (Ir.To_float, Ir.Int_lit 7));
@@ -1107,7 +1194,7 @@ let test_subst_shadowing_decl () =
       Ir.Assign ("x", Ir.v "j");
     ]
   in
-  match Subst.stmts ~var:"j" ~by:(Ir.i 5) body with
+  match Visit.subst ~var:"j" ~by:(Ir.i 5) body with
   | [ Ir.Assign (_, Ir.Int_lit 5); Ir.Decl _; Ir.Assign (_, Ir.Var "j") ] -> ()
   | _ -> Alcotest.fail "decl shadowing"
 
@@ -1225,7 +1312,7 @@ let test_unroll_skips_atomics_and_big_trips () =
   in
   let k' = (Passes.unroll ()).Passes.transform with_atomic in
   check_bool "atomic body kept as a loop" true
-    (Ir.fold_directives
+    (Visit.fold
        (fun acc s -> acc || match s with Ir.Simd _ -> true | _ -> false)
        false k'.Ir.body);
   let big =
@@ -1237,7 +1324,7 @@ let test_unroll_skips_atomics_and_big_trips () =
   in
   let k'' = (Passes.unroll ()).Passes.transform big in
   check_bool "big trip kept as a loop" true
-    (Ir.fold_directives
+    (Visit.fold
        (fun acc s -> acc || match s with Ir.Simd _ -> true | _ -> false)
        false k''.Ir.body)
 
@@ -1468,6 +1555,9 @@ let suite =
         Alcotest.test_case "free vars" `Quick test_free_vars;
         Alcotest.test_case "ids and captures" `Quick test_outline_ids_and_captures;
         Alcotest.test_case "annotates ast" `Quick test_outline_annotates_ast;
+        Alcotest.test_case "captures any local's name" `Quick
+          test_outline_captures_any_name;
+        Alcotest.test_case "visit scope rules" `Quick test_visit_scope_rules;
       ] );
     ( "ompir.globalize",
       [

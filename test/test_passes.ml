@@ -966,8 +966,99 @@ let test_spmdize_upgrade () =
   let kk' = Passes.run [ Passes.spmdize_upgrade ] kk in
   Alcotest.(check bool) "upgraded to SPMD" true (Ompir.Spmdize.all_spmd kk')
 
+(* --- scope probes: the default pipeline on body-local names --------------- *)
+
+(* Each probe unrolls a sequential loop whose body declares a name the
+   replicas must keep apart.  The optimized kernel must pass
+   [run_verified] and store what the host interpreter stores for the
+   source. *)
+let host_out (k : Ir.kernel) =
+  let space = Memory.space () in
+  let out = Memory.falloc space 4 in
+  Ompir.Hosteval.run ~bindings:[ ("out", Eval.B_farr out); ("n", Eval.B_int 1) ] k;
+  Memory.to_float_array out
+
+let probe src () =
+  let k = Ompir.Parse.kernel src in
+  (match Ompir.Check.kernel k with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "the source must check: %s" (errs es));
+  match Passes.run_verified Passes.default_pipeline k with
+  | Error (p, es) -> Alcotest.failf "pass %s rejected a valid kernel: %s" p (errs es)
+  | Ok k' ->
+      Alcotest.(check (array (float 0.0)))
+        "optimized stores what the source stores" (host_out k) (host_out k')
+
+let probe_kernel body =
+  Printf.sprintf
+    {|kernel probe(double* out, int n) {
+  #pragma omp teams distribute parallel for
+  for (i = 0; i < n; i++) {
+%s
+  }
+}|}
+    body
+
+(* (A) a replica's assignment must write its own copy, not the outer x *)
+let probe_assign_shadowing =
+  probe
+    (probe_kernel
+       {|    double x = 5.0;
+    for (r = 0; r < 2; r++) {
+      double x = 1.0;
+      x = x + 1.0;
+      out[r] = x;
+    }
+    out[2] = x;|})
+
+(* (B) the same with no outer binding: the assignment must stay bound *)
+let probe_assign_local =
+  probe
+    (probe_kernel
+       {|    for (r = 0; r < 2; r++) {
+      double y = 1.0;
+      y = y + 1.0;
+      out[r] = y;
+    }|})
+
+(* (C) the summand reads the reduction body's v, not the replica's *)
+let probe_summand_shadowing =
+  probe
+    (probe_kernel
+       {|    double s = 0.0;
+    for (r = 0; r < 2; r++) {
+      double v = 50.0;
+      #pragma omp simd reduction(+:s)
+      for (k = 0; k < 10; k++) {
+        double v = 11.0;
+        s += v;
+      }
+      out[r] = s + (v - 50.0);
+    }|})
+
+(* (D) an accumulator declared in the unrolled body follows its renaming *)
+let probe_local_accumulator =
+  probe
+    (probe_kernel
+       {|    for (r = 0; r < 2; r++) {
+      double acc = 0.0;
+      #pragma omp simd reduction(+:acc)
+      for (k = 0; k < 4; k++) {
+        acc += 1.0;
+      }
+      out[r] = acc;
+    }|})
+
 let unit_cases =
   [
+    Alcotest.test_case "probe A: unrolled assignment under a shadowed local"
+      `Quick probe_assign_shadowing;
+    Alcotest.test_case "probe B: unrolled assignment to a body local" `Quick
+      probe_assign_local;
+    Alcotest.test_case "probe C: summand reads the reduction body's decl"
+      `Quick probe_summand_shadowing;
+    Alcotest.test_case "probe D: accumulator declared in the unrolled body"
+      `Quick probe_local_accumulator;
     Alcotest.test_case "licm known answer" `Quick ka_licm;
     Alcotest.test_case "strength known answer" `Quick ka_strength;
     Alcotest.test_case "collapse known answer" `Quick ka_collapse;

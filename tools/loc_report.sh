@@ -7,7 +7,11 @@
 # lib/ .ml file, which is how the settings parser spells it), and the
 # number of environment-access sites below the edge: lines of lib/
 # mentioning Sys.getenv, Env. or Unix.putenv outside lib/util/env.ml*
-# and the settings parser (lib/settings/), which must stay 0.
+# and the settings parser (lib/settings/), which must stay 0.  Last
+# comes the number of full matches over Ir.stmt in each lib/ompir
+# module: lines of its .ml naming Simd_sum, the constructor every
+# exhaustive statement match spells out, so the count tracks how many
+# hand-written traversals remain beside Visit.
 # Pass --names to list the knobs as well; --check lists the access
 # sites and fails when there are any (a runtest rule runs it).
 #
@@ -62,3 +66,14 @@ printf 'environment-access sites in lib/ outside env and settings: %d\n' \
 if [ "${1:-}" = "--names" ]; then
   printf '%s\n' "$knobs" | sed 's/^/  /'
 fi
+
+printf 'Ir.stmt match sites (lines naming Simd_sum) per lib/ompir module:\n'
+sites_all=0
+for f in lib/ompir/*.ml; do
+  n=$(grep -c 'Simd_sum' "$f" || true)
+  if [ "$n" -gt 0 ]; then
+    printf '  %-16s %3d\n' "$(basename "$f" .ml)" "$n"
+    sites_all=$((sites_all + n))
+  fi
+done
+printf '  %-16s %3d\n' "(all)" "$sites_all"
